@@ -299,7 +299,7 @@ reportCheckpointOverhead(const AppRunResult &r)
                  static_cast<unsigned long long>(r.checkpoints.count),
                  static_cast<unsigned long long>(r.checkpoints.bytes),
                  r.checkpoints.writeMs,
-                 r.checkpoints.lastPath.c_str());
+                 r.checkpoints.files.back().path.c_str());
 }
 
 /** Run @p apps under @p cfg, with progress lines on stderr. */

@@ -19,7 +19,6 @@ namespace biglittle
 {
 
 class Serializer;
-class Deserializer;
 
 /**
  * A small, fast, deterministic random number generator
@@ -71,14 +70,10 @@ class Rng
 
     /**
      * Write the full generator state (xoshiro words plus the cached
-     * Box-Muller variate).  serialize -> deserialize -> serialize is
-     * byte-identical, and a restored generator continues the exact
-     * draw sequence of the original.
+     * Box-Muller variate), so two generators write identical bytes
+     * exactly when they will continue the same draw sequence.
      */
     void serialize(Serializer &s) const;
-
-    /** Restore state written by serialize(). */
-    void deserialize(Deserializer &d);
 
   private:
     std::uint64_t s[4];

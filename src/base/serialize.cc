@@ -57,7 +57,7 @@ Deserializer::take(void *out, std::size_t len)
 {
     if (!st.ok() || len > remaining) {
         if (st.ok())
-            st = outOfRange("deserializer ran past end of buffer");
+            st = outOfRange("Deserializer ran past end of buffer");
         std::memset(out, 0, len);
         return false;
     }
@@ -65,14 +65,6 @@ Deserializer::take(void *out, std::size_t len)
     ptr += len;
     remaining -= len;
     return true;
-}
-
-std::uint8_t
-Deserializer::getU8()
-{
-    std::uint8_t v = 0;
-    take(&v, 1);
-    return v;
 }
 
 std::uint32_t
@@ -97,22 +89,13 @@ Deserializer::getU64()
     return v;
 }
 
-double
-Deserializer::getDouble()
-{
-    const std::uint64_t bits = getU64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
 std::vector<std::uint8_t>
 Deserializer::getBytes()
 {
     const std::uint64_t len = getU64();
     if (!st.ok() || len > remaining) {
         if (st.ok())
-            st = outOfRange("deserializer: byte block past end");
+            st = outOfRange("Deserializer: byte block past end");
         return {};
     }
     if (!charge(len))
@@ -132,7 +115,7 @@ Deserializer::getCount(std::size_t elemSize)
     const std::uint64_t maxCount =
         elemSize ? remaining / elemSize : remaining;
     if (count > maxCount) {
-        st = outOfRange("deserializer: count field exceeds remaining input");
+        st = outOfRange("Deserializer: count field exceeds remaining input");
         return 0;
     }
     if (!charge(count * (elemSize ? elemSize : 1)))
@@ -154,7 +137,7 @@ Deserializer::charge(std::size_t bytes)
         return true;
     if (bytes > allocBudget) {
         if (st.ok())
-            st = outOfRange("deserializer: allocation budget exceeded");
+            st = outOfRange("Deserializer: allocation budget exceeded");
         allocBudget = 0;
         return false;
     }

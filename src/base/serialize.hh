@@ -84,12 +84,9 @@ class Deserializer
     {
     }
 
-    std::uint8_t getU8();
-    bool getBool() { return getU8() != 0; }
     std::uint32_t getU32();
     std::uint64_t getU64();
     std::int64_t getI64() { return static_cast<std::int64_t>(getU64()); }
-    double getDouble();
     std::vector<std::uint8_t> getBytes();
     std::string getString();
 

@@ -564,8 +564,8 @@ Experiment::runApp(const AppSpec &app)
                         std::chrono::duration<double, std::milli>(
                             t1 - t0)
                             .count();
-                    result.checkpoints.lastPath = path;
-                    result.checkpoints.paths.push_back(path);
+                    result.checkpoints.files.push_back(
+                        {ckpt.tick, path});
                     watchdog.noteCheckpoint(bytes);
                 }
             }

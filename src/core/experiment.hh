@@ -112,16 +112,22 @@ struct RaceParams
     std::string baselinePath;
 };
 
+/** One checkpoint file written during a run. */
+struct CheckpointFile
+{
+    Tick tick = 0; ///< simulated tick the checkpoint captures
+    std::string path;
+};
+
 /** Checkpoint overhead of one run. */
 struct CheckpointStats
 {
     std::uint64_t count = 0; ///< checkpoints written
     std::uint64_t bytes = 0; ///< total bytes written
     double writeMs = 0.0; ///< wall time spent serializing + writing
-    std::string lastPath; ///< most recent checkpoint file
 
     /** Every checkpoint written, oldest first: rollback targets. */
-    std::vector<std::string> paths;
+    std::vector<CheckpointFile> files;
 };
 
 /**

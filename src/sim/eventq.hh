@@ -50,6 +50,7 @@ struct ServicedEvent
 };
 
 /** Deterministic priority queue of events. */
+// ablint:allow(serialize-coverage): serialize() writes a digest of the pending events; hooks, the recent log and tie-break setup are run-time wiring
 class EventQueue
 {
   public:
@@ -166,11 +167,9 @@ class EventQueue
      * priority, sequence, name-hash) in firing order.  Two runs with
      * identical behavior produce identical bytes; the digest form is
      * used because pending events (closures) cannot themselves be
-     * reconstructed from bytes.  There is deliberately no
-     * deserialize(): restore re-executes to the checkpoint tick and
-     * byte-compares this digest instead (docs/DETERMINISM.md).
+     * reconstructed from bytes; resume re-executes to the checkpoint
+     * tick and byte-compares this digest (docs/DETERMINISM.md).
      */
-    // ablint:allow(serialize-pair): digest-only, restore by replay
     void serialize(Serializer &s) const;
 
   private:

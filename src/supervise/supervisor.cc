@@ -17,26 +17,6 @@ namespace biglittle
 namespace
 {
 
-/** Tick encoded in a periodic checkpoint's <stem>.<tick>.ckpt name. */
-Tick
-tickFromCheckpointPath(const std::string &path)
-{
-    const std::string suffix = ".ckpt";
-    if (path.size() <= suffix.size() ||
-        path.compare(path.size() - suffix.size(), suffix.size(),
-                     suffix) != 0)
-        return 0;
-    const std::string noExt =
-        path.substr(0, path.size() - suffix.size());
-    const std::size_t dot = noExt.find_last_of('.');
-    if (dot == std::string::npos || dot + 1 == noExt.size() ||
-        noExt.size() - dot - 1 > 19 ||
-        noExt.find_first_not_of("0123456789", dot + 1) !=
-            std::string::npos)
-        return 0;
-    return static_cast<Tick>(std::stoull(noExt.substr(dot + 1)));
-}
-
 /**
  * Escalation rung an incident signature sits on.  Every incident
  * climbs retrying -> quarantined -> disabled; a failure recurring on
@@ -93,7 +73,7 @@ Supervisor::run(const AppSpec &app)
     // Attempts rewrite the paths they pass through, so the newest
     // generation of each path always matches the current script
     // (stale generations survive down the rotation chain).
-    std::vector<std::pair<Tick, std::string>> ckpts;
+    std::vector<CheckpointFile> ckpts;
     std::map<std::string, IncidentState> incidents;
     std::uint32_t total_retries = 0;
     std::uint32_t perturb = 0;
@@ -103,14 +83,18 @@ Supervisor::run(const AppSpec &app)
         Experiment exp(cfg);
         AppRunResult r = exp.runApp(app);
 
-        for (const std::string &path : r.checkpoints.paths) {
+        for (const CheckpointFile &file : r.checkpoints.files) {
             const bool seen = std::any_of(
                 ckpts.begin(), ckpts.end(),
-                [&](const auto &c) { return c.second == path; });
+                [&](const auto &c) { return c.path == file.path; });
             if (!seen)
-                ckpts.emplace_back(tickFromCheckpointPath(path), path);
+                ckpts.push_back(file);
         }
-        std::sort(ckpts.begin(), ckpts.end());
+        // One path per tick: the file name encodes the tick.
+        std::sort(ckpts.begin(), ckpts.end(),
+                  [](const CheckpointFile &a, const CheckpointFile &b) {
+                      return a.tick < b.tick;
+                  });
 
         if (!r.failed) {
             report.outcome = report.quarantines > 0
@@ -147,15 +131,14 @@ Supervisor::run(const AppSpec &app)
         // one), pushed exponentially further back on repeated
         // retries of the same incident.
         const auto rollbackTarget =
-            [&](std::size_t offset) -> std::pair<Tick, std::string> {
-            std::pair<Tick, std::string> target{0, std::string()};
-            std::vector<const std::pair<Tick, std::string> *> eligible;
+            [&](std::size_t offset) -> CheckpointFile {
+            std::vector<const CheckpointFile *> eligible;
             for (const auto &c : ckpts) {
-                if (c.first < r.failedAt)
+                if (c.tick < r.failedAt)
                     eligible.push_back(&c);
             }
             if (eligible.empty())
-                return target; // fresh start
+                return {}; // fresh start
             const std::size_t last = eligible.size() - 1;
             const std::size_t idx = offset > last ? 0 : last - offset;
             return *eligible[idx];

@@ -92,16 +92,18 @@ namespace
  * A chaos config the plain run loop cannot survive: on top of the
  * recoverable classes, unrecoverable crashes and invariant breaks are
  * armed, so the run completes only if the supervisor recovers it.
+ * @p label names the checkpoint files, so tests running in parallel
+ * never roll back to each other's checkpoints.
  */
 ExperimentConfig
-supervisedChaosConfig(std::uint64_t seed)
+supervisedChaosConfig(std::uint64_t seed, const std::string &label)
 {
     ExperimentConfig cfg;
     cfg.fault = scaledFaultParams(2.0, seed);
     cfg.fault.crashRatePerSec = 0.4;
     cfg.fault.invariantBreakRatePerSec = 0.4;
     cfg.masterSeed = seed;
-    cfg.label = "chaos_supervised";
+    cfg.label = label;
     cfg.snapshot.checkpointEvery = msToTicks(200);
     cfg.snapshot.checkpointDir = ::testing::TempDir();
     return cfg;
@@ -116,7 +118,8 @@ TEST(SupervisedChaos, TenSeedsZeroAbortedRuns)
     // clean, recovered, or degraded, never failed.
     std::uint32_t recoveries = 0;
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-        Supervisor supervisor(supervisedChaosConfig(seed));
+        Supervisor supervisor(
+            supervisedChaosConfig(seed, "chaos_supervised"));
         const SupervisedRunResult r =
             supervisor.run(shortApp(eternityWarrior2App()));
         EXPECT_NE(r.report.outcome, RecoveryOutcome::failed)
@@ -138,7 +141,8 @@ TEST(SupervisedChaos, RecoveryIsDeterministicPerSeed)
     // state digest.  Seed 3 exercises the full ladder (rollback,
     // exponential re-rollback, class disable) under this config.
     const auto run_once = [] {
-        Supervisor supervisor(supervisedChaosConfig(3));
+        Supervisor supervisor(
+            supervisedChaosConfig(3, "chaos_deterministic"));
         return supervisor.run(shortApp(eternityWarrior2App()));
     };
     const SupervisedRunResult a = run_once();

@@ -116,7 +116,7 @@ expectResumeBitIdentical(const ExperimentConfig &base_cfg,
     Experiment killed_exp(killed_cfg);
     const AppRunResult partial = killed_exp.runApp(killed);
     ASSERT_EQ(partial.checkpoints.count, 2u); // 400 ms and 800 ms
-    ASSERT_FALSE(partial.checkpoints.lastPath.empty());
+    ASSERT_EQ(partial.checkpoints.files.size(), 2u);
 
     // Reference: the same run uninterrupted, no snapshotting at all.
     Experiment full_exp(base_cfg);
@@ -124,7 +124,7 @@ expectResumeBitIdentical(const ExperimentConfig &base_cfg,
 
     // Resumed: fast-forward through the checkpoint, then finish.
     ExperimentConfig resume_cfg = base_cfg;
-    resume_cfg.snapshot.resumePath = partial.checkpoints.lastPath;
+    resume_cfg.snapshot.resumePath = partial.checkpoints.files.back().path;
     Experiment resumed_exp(resume_cfg);
     const AppRunResult resumed = resumed_exp.runApp(app);
 
@@ -184,8 +184,8 @@ TEST(Resume, KilledRunCheckpointEqualsUninterruptedCheckpoint)
     const AppRunResult complete = Experiment(cfg).runApp(testApp(42));
     ASSERT_GT(complete.checkpoints.count, partial.checkpoints.count);
 
-    const std::string base = partial.checkpoints.lastPath.substr(
-        dir_killed.size());
+    const std::string base =
+        partial.checkpoints.files.back().path.substr(dir_killed.size());
     const Result<Checkpoint> a =
         Checkpoint::readFile(dir_killed + base);
     const Result<Checkpoint> b = Checkpoint::readFile(dir_full + base);
@@ -209,7 +209,7 @@ TEST(Resume, LatencyAppResumesBitIdentical)
     const AppRunResult full = Experiment().runApp(app);
 
     ExperimentConfig resume_cfg;
-    resume_cfg.snapshot.resumePath = partial.checkpoints.lastPath;
+    resume_cfg.snapshot.resumePath = partial.checkpoints.files.back().path;
     const AppRunResult resumed = Experiment(resume_cfg).runApp(app);
 
     EXPECT_GT(resumed.resumedFrom, 0u);
@@ -226,8 +226,10 @@ TEST(Resume, CheckpointOverheadIsReported)
     EXPECT_EQ(r.checkpoints.count, 3u); // 500 ms, 1000 ms, 1500 ms
     EXPECT_GT(r.checkpoints.bytes, 0u);
     EXPECT_GT(r.checkpoints.writeMs, 0.0);
+    ASSERT_EQ(r.checkpoints.files.size(), 3u);
+    EXPECT_EQ(r.checkpoints.files.back().tick, msToTicks(1500));
     const Result<Checkpoint> last =
-        Checkpoint::readFile(r.checkpoints.lastPath);
+        Checkpoint::readFile(r.checkpoints.files.back().path);
     ASSERT_TRUE(last.ok()) << last.status().message();
     EXPECT_EQ(last.value().tick, msToTicks(1500));
 }
@@ -247,7 +249,7 @@ TEST(Resume, MismatchedIdentityFallsBackToFreshRun)
 
     ExperimentConfig other;
     other.label = "different-config";
-    other.snapshot.resumePath = r.checkpoints.lastPath;
+    other.snapshot.resumePath = r.checkpoints.files.back().path;
     const AppRunResult fresh = Experiment(other).runApp(testApp(1));
     EXPECT_EQ(fresh.resumedFrom, 0u);
     EXPECT_TRUE(fresh.completed);
@@ -276,25 +278,23 @@ TEST(Resume, CorruptNewestFallsBackToOlderCheckpoint)
     cfg.snapshot.checkpointDir = dir;
     const AppRunResult partial = Experiment(cfg).runApp(killed);
     ASSERT_EQ(partial.checkpoints.count, 2u);
+    const std::string newest = partial.checkpoints.files.back().path;
 
     // Truncate the newest (800 ms) checkpoint to half its size.
     {
-        FILE *f = std::fopen(partial.checkpoints.lastPath.c_str(),
-                             "rb");
+        FILE *f = std::fopen(newest.c_str(), "rb");
         ASSERT_NE(f, nullptr);
         std::fseek(f, 0, SEEK_END);
         const long size = std::ftell(f);
         std::fclose(f);
         ASSERT_GT(size, 0);
-        ASSERT_EQ(::truncate(partial.checkpoints.lastPath.c_str(),
-                             size / 2),
-                  0);
+        ASSERT_EQ(::truncate(newest.c_str(), size / 2), 0);
     }
 
     const AppRunResult full = Experiment().runApp(testApp(7));
 
     ExperimentConfig resume_cfg;
-    resume_cfg.snapshot.resumePath = partial.checkpoints.lastPath;
+    resume_cfg.snapshot.resumePath = newest;
     const AppRunResult resumed =
         Experiment(resume_cfg).runApp(testApp(7));
     EXPECT_EQ(resumed.resumedFrom, msToTicks(400));

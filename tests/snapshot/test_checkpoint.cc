@@ -2,7 +2,10 @@
  * @file
  * Tests for the Checkpoint container: encode/decode round trips,
  * rejection of damaged files (magic, version, checksum, truncation),
- * crash-safe file I/O, and section-attributing comparison.
+ * crash-safe file I/O, and section-attributing comparison.  Also the
+ * two properties resume verification leans on: a Deserializer
+ * over-read fails softly, and a live rig's event-queue digest is
+ * stable across identical runs.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +15,12 @@
 #include <sys/stat.h>
 
 #include "base/serialize.hh"
+#include "platform/platform.hh"
+#include "sched/hmp.hh"
+#include "sim/simulation.hh"
 #include "snapshot/checkpoint.hh"
+#include "workload/app_model.hh"
+#include "workload/apps.hh"
 
 using namespace biglittle;
 
@@ -403,4 +411,38 @@ TEST(CheckpointRotation, AllCandidatesMissingIsNotFound)
         ::testing::TempDir() + "bl_no_such_ckpt.ckpt");
     ASSERT_FALSE(none.ok());
     EXPECT_EQ(none.status().code(), StatusCode::notFound);
+}
+
+TEST(Deserializer, OverReadIsRecoverableNotFatal)
+{
+    Serializer s;
+    s.putU64(5);
+    Deserializer d(s.bytes());
+    EXPECT_EQ(d.getU64(), 5u);
+    EXPECT_TRUE(d.ok());
+    EXPECT_EQ(d.getU64(), 0u); // past the end: zero, not a crash
+    EXPECT_FALSE(d.ok());
+    EXPECT_EQ(d.getString(), ""); // stays failed and harmless
+}
+
+TEST(StateCapture, EventQueueDigestIsRunStable)
+{
+    // The queue serializes a digest of its pending closures; resume
+    // verification relies on two identical runs serializing
+    // identical bytes.
+    const auto run = [](Serializer &s) {
+        Simulation sim;
+        AsymmetricPlatform plat{sim, exynos5422Params()};
+        HmpScheduler sched{sim, plat, baselineSchedParams()};
+        sched.start();
+        AppInstance instance(sim, sched, eternityWarrior2App());
+        instance.start();
+        sim.runFor(msToTicks(250));
+        sim.eventQueue().serialize(s);
+    };
+    Serializer a, b;
+    run(a);
+    run(b);
+    EXPECT_FALSE(a.bytes().empty());
+    EXPECT_EQ(a.bytes(), b.bytes());
 }

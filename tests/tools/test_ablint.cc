@@ -355,23 +355,15 @@ TEST(AblintSerialize, PairAndRegistryEnforced)
         "  public:\n"
         "    void serialize(Serializer &s) const;\n"
         "};\n";
-    // Unregistered and unpaired: both rules fire.
+    // Unregistered: the registry rule fires.
     const auto bad = lint({{"src/w.hh", header}});
-    EXPECT_EQ(countRule(bad, "serialize-pair"), 1u);
     EXPECT_EQ(countRule(bad, "serialize-registry"), 1u);
 
-    // Paired and registered against a live section literal: clean.
-    const std::string good =
-        "class Widget {\n"
-        "  public:\n"
-        "    void serialize(Serializer &s) const;\n"
-        "    void deserialize(Deserializer &d);\n"
-        "};\n";
+    // Registered against a live section literal: clean.
     const auto clean =
-        lint({{"src/w.hh", good},
+        lint({{"src/w.hh", header},
               {"src/rig.cc", "section(\"widget\", fill);\n"}},
              "", "Widget widget\n");
-    EXPECT_EQ(countRule(clean, "serialize-pair"), 0u);
     EXPECT_EQ(countRule(clean, "serialize-registry"), 0u);
 }
 
@@ -383,18 +375,6 @@ TEST(AblintSerialize, RegistryStalenessIsReported)
         lint({{"src/empty.cc", "int x;\n"}}, "",
              "Ghost missing-section\n");
     EXPECT_EQ(countRule(findings, "serialize-registry"), 2u);
-}
-
-TEST(AblintSerialize, DigestOnlyNeedsInlineAllow)
-{
-    const std::string digestOnly =
-        "class Queue {\n"
-        "    // ablint:allow(serialize-pair): digest only\n"
-        "    void serialize(Serializer &s) const;\n"
-        "};\n";
-    const auto findings =
-        lint({{"src/q.hh", digestOnly}}, "", "Queue q\n");
-    EXPECT_EQ(countRule(findings, "serialize-pair"), 0u);
 }
 
 TEST(AblintConfigKey, UndocumentedKeyFlagged)

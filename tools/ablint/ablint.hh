@@ -17,9 +17,6 @@
  *  - void-discard    no `(void)` / static_cast<void> laundering of
  *                    a call's return value in src/ (Status/Result
  *                    are [[nodiscard]]; handle them for real);
- *  - serialize-pair  every class declaring serialize()/
- *                    serializePolicy()/serializeState() declares the
- *                    matching deserialize flavor;
  *  - serialize-registry  every serializable class is registered in
  *                    tools/ablint/serialized_state.txt against the
  *                    checkpoint section (or covering parent) that
@@ -34,9 +31,8 @@
  * definitions, a call graph, an #include graph - see model.hh):
  *
  *  - serialize-coverage  every plain-value data member of a class in
- *                    serialized_state.txt is referenced by both
- *                    serialize() and deserialize(), and the two
- *                    bodies emit/consume the same wire-op sequence;
+ *                    serialized_state.txt is referenced by its
+ *                    serialize body (state capture is write-only);
  *  - schema-drift    the per-class field-schema digests committed in
  *                    tools/ablint/state_schema.txt match the code,
  *                    and field changes come with a checkpointVersion

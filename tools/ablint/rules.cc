@@ -432,7 +432,7 @@ voidDiscardRule(const LexedFile &f, Sink &sink)
 /**
  * Flag container allocations sized by a raw Deserializer read.  A
  * count that came straight off the wire via getU64()/getU32()/
- * getI64()/getU8() must not size a reserve()/resize()/assign() or a
+ * getI64() must not size a reserve()/resize()/assign() or a
  * `new T[n]` without a bound check first: a hostile length field
  * turns the allocation into an OOM bomb.  Deserializer::getCount()
  * carries the check built in (a count can never exceed the bytes
@@ -452,7 +452,7 @@ deserBoundRule(const LexedFile &f, Sink &sink)
     const auto &toks = f.tokens;
 
     static const std::set<std::string> taintingReads = {
-        "getU64", "getU32", "getI64", "getU8"};
+        "getU64", "getU32", "getI64"};
 
     // Pass 1: variables assigned from a raw deserializer read
     // (`name = d.getU64(` with no ';' in between), and variables
@@ -589,27 +589,14 @@ deserBoundRule(const LexedFile &f, Sink &sink)
     }
 }
 
-// ---- serialize-pair / serialize-registry ---------------------------
-
-struct SerializerFlavor
-{
-    const char *ser;
-    const char *deser;
-};
-
-constexpr SerializerFlavor serializerFlavors[] = {
-    {"serialize", "deserialize"},
-    {"serializePolicy", "deserializePolicy"},
-    {"serializeState", "deserializeState"},
-};
+// ---- serialize-registry --------------------------------------------
 
 struct ClassRecord
 {
     std::string name;
     const LexedFile *file = nullptr;
     int line = 0; ///< class declaration line
-    std::map<std::string, int> serLines; ///< flavor.ser -> decl line
-    std::set<std::string> desers;
+    std::map<std::string, int> serLines; ///< flavor -> decl line
 };
 
 /** Extract class records (with serializer methods) from one file. */
@@ -689,12 +676,9 @@ collectClasses(const LexedFile &f, std::vector<ClassRecord> &out)
         }
         if (t.kind == TokKind::identifier && !stack.empty() &&
             i + 1 < toks.size() && isPunct(toks[i + 1], '(')) {
-            for (const auto &flavor : serializerFlavors) {
-                if (t.text == flavor.ser)
-                    stack.back().rec.serLines.emplace(flavor.ser,
-                                                      t.line);
-                if (t.text == flavor.deser)
-                    stack.back().rec.desers.insert(flavor.deser);
+            for (const char *flavor : detail::serializeFlavors) {
+                if (t.text == flavor)
+                    stack.back().rec.serLines.emplace(flavor, t.line);
             }
         }
     }
@@ -729,19 +713,6 @@ serializeRules(const ScanInput &in, Sink &sink,
         if (rec.serLines.empty())
             continue;
         serializableNames.insert(rec.name);
-        for (const auto &flavor : serializerFlavors) {
-            const auto it = rec.serLines.find(flavor.ser);
-            if (it == rec.serLines.end())
-                continue;
-            if (rec.desers.count(flavor.deser) == 0) {
-                sink.add(*rec.file, it->second, "serialize-pair",
-                         "class '" + rec.name + "' declares " +
-                             flavor.ser + "() without " +
-                             flavor.deser +
-                             "(): state would be captured but not "
-                             "restorable");
-            }
-        }
         if (registered.count(rec.name) == 0) {
             sink.add(*rec.file, rec.serLines.begin()->second,
                      "serialize-registry",
@@ -844,8 +815,8 @@ ruleNames()
     static const std::vector<std::string> names = {
         "wall-clock",     "unordered-iter",     "pointer-key",
         "static-mutable", "void-discard",       "deser-bound",
-        "serialize-pair", "serialize-registry", "config-key",
-        "post-init-fatal", "stale-baseline",
+        "serialize-registry", "config-key",     "post-init-fatal",
+        "stale-baseline",
         // absema (semantic) rules, sema_rules.cc:
         "serialize-coverage", "schema-drift", "fatal-reach",
         "rng-stream", "layer-cycle", "stale-allow",
@@ -880,7 +851,7 @@ runRules(const ScanInput &in, AllowUse *uses, RuleProfile *profile)
         });
     }
     std::vector<Finding> registryFindings;
-    detail::timeRule(profile, "serialize-pair/registry", [&] {
+    detail::timeRule(profile, "serialize-registry", [&] {
         serializeRules(in, sink, registryFindings);
     });
     detail::timeRule(profile, "config-key",

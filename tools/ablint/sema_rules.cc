@@ -5,9 +5,9 @@
  * invariants ablint's lexical rules cannot see:
  *
  *  - serialize-coverage  every plain-value data member of a class in
- *                        serialized_state.txt is referenced by both
- *                        the serialize and deserialize bodies, and
- *                        the two emit the same wire-op sequence;
+ *                        serialized_state.txt is referenced by its
+ *                        serialize body (state capture is write-only:
+ *                        resume re-executes and byte-compares);
  *  - schema-drift        the committed per-class field digests
  *                        (state_schema.txt) match the code, and field
  *                        changes come with a checkpointVersion bump;
@@ -59,10 +59,10 @@ hex16(std::uint64_t v)
 
 /**
  * Members outside the wire contract: statics/constexpr, pointers and
- * references (wiring, re-established on restore), const members
- * (construction-time config), std::function callbacks, and *Params /
- * *Spec config structs (restore rebuilds the component tree from the
- * same experiment config before deserializing state into it).
+ * references (wiring), const members (construction-time config),
+ * std::function callbacks, and *Params / *Spec config structs (a
+ * re-executed run rebuilds the component tree from the same
+ * experiment config, so they cannot diverge on their own).
  */
 bool
 memberExempt(const Member &mem)
@@ -89,19 +89,6 @@ memberExempt(const Member &mem)
     }
     return false;
 }
-
-/** The serialize/deserialize flavor pairs a class may implement. */
-struct Flavor
-{
-    const char *put;
-    const char *get;
-};
-
-constexpr Flavor flavors[] = {
-    {"serialize", "deserialize"},
-    {"serializeState", "deserializeState"},
-    {"serializePolicy", "deserializePolicy"},
-};
 
 const FunctionDef *
 classFn(const Model &m, const ClassInfo &cls, const std::string &name)
@@ -130,62 +117,6 @@ bodyReferences(const FunctionDef &fn, const std::string &name)
     return false;
 }
 
-/**
- * Canonical wire-op name for a callee on the write (@p put) or read
- * side.  getCount() pairs with putU64() by the Serializer's own
- * contract; a nested serialize/deserialize (any flavor) is one "sub"
- * op.  Empty string: not a wire op.
- */
-std::string
-wireOp(const std::string &callee, bool put)
-{
-    static const std::map<std::string, std::string> putMap = {
-        {"putU64", "u64"},   {"putU32", "u32"},
-        {"putU8", "u8"},     {"putI64", "i64"},
-        {"putDouble", "f64"}, {"putString", "str"},
-        {"putBool", "bool"}, {"putBytes", "bytes"},
-        {"serialize", "sub"}, {"serializeState", "sub"},
-        {"serializePolicy", "sub"},
-    };
-    static const std::map<std::string, std::string> getMap = {
-        {"getU64", "u64"},   {"getCount", "u64"},
-        {"getU32", "u32"},   {"getU8", "u8"},
-        {"getI64", "i64"},   {"getDouble", "f64"},
-        {"getString", "str"}, {"getBool", "bool"},
-        {"getBytes", "bytes"},
-        {"deserialize", "sub"}, {"deserializeState", "sub"},
-        {"deserializePolicy", "sub"},
-    };
-    const auto &table = put ? putMap : getMap;
-    const auto it = table.find(callee);
-    return it == table.end() ? std::string() : it->second;
-}
-
-struct WireSite
-{
-    std::string op;
-    std::string callee;
-    int line = 0;
-};
-
-std::vector<WireSite>
-wireOps(const FunctionDef &fn, bool put)
-{
-    std::vector<WireSite> ops;
-    const auto &toks = fn.file->tokens;
-    for (std::size_t i = fn.bodyBegin;
-         i + 1 < fn.bodyEnd && i + 1 < toks.size(); ++i) {
-        if (toks[i].kind != TokKind::identifier ||
-            !isPunct(toks[i + 1], '('))
-            continue;
-        std::string op = wireOp(toks[i].text, put);
-        if (!op.empty())
-            ops.push_back({std::move(op), toks[i].text,
-                           toks[i].line});
-    }
-    return ops;
-}
-
 void
 serializeCoverage(const Model &m,
                   const std::vector<detail::RegistryEntry> &reg,
@@ -195,84 +126,39 @@ serializeCoverage(const Model &m,
         const ClassInfo *cls = m.findClass(entry.className);
         if (cls == nullptr || cls->file->isTest)
             continue;
-        std::vector<std::pair<const FunctionDef *,
-                              const FunctionDef *>> pairs;
-        for (const Flavor &fl : flavors) {
-            const FunctionDef *put = classFn(m, *cls, fl.put);
-            const FunctionDef *get = classFn(m, *cls, fl.get);
-            if (put != nullptr && get != nullptr)
-                pairs.push_back({put, get});
+        std::vector<const FunctionDef *> bodies;
+        for (const char *flavor : detail::serializeFlavors) {
+            if (const FunctionDef *fn = classFn(m, *cls, flavor))
+                bodies.push_back(fn);
         }
-        if (pairs.empty())
+        if (bodies.empty())
             continue;
 
-        // Member coverage: each plain-value member must be touched
-        // by some write body and some read body (base/derived
-        // flavors split the state between them).
+        // An allow on the class line itself covers every member: a
+        // digest-only serializer (EventQueue's) has no field list.
+        const bool wholeClass =
+            lineAllows(*cls->file, cls->line, "serialize-coverage");
+
+        // Each plain-value member must be named by some serialize
+        // body (base/derived flavors split the state between them).
         for (const Member &mem : cls->members) {
             if (memberExempt(mem))
                 continue;
-            bool written = false;
-            bool read = false;
-            for (const auto &[put, get] : pairs) {
-                written = written || bodyReferences(*put, mem.name);
-                read = read || bodyReferences(*get, mem.name);
-            }
-            if (written && read)
-                continue;
-            std::string msg = "member '" + mem.name + "' of '" +
-                              cls->qualName + "' is ";
+            const bool written = std::any_of(
+                bodies.begin(), bodies.end(),
+                [&mem](const FunctionDef *fn) {
+                    return bodyReferences(*fn, mem.name);
+                });
             if (written)
-                msg += "written by " +
-                       std::string(pairs[0].first->name) +
-                       "() but never read back on restore";
-            else if (read)
-                msg += "read on restore but never written by " +
-                       std::string(pairs[0].first->name) + "()";
-            else
-                msg += "not referenced by its serialize/deserialize "
-                       "pair";
-            msg += "; serialize it (and bump checkpointVersion) or "
-                   "justify with an inline allow";
-            sink.add(*cls->file, mem.line, "serialize-coverage",
-                     msg);
-        }
-
-        // Wire symmetry: the ordered op sequence emitted by the
-        // write body must equal the one consumed by the read body.
-        for (const auto &[put, get] : pairs) {
-            const auto wr = wireOps(*put, true);
-            const auto rd = wireOps(*get, false);
-            const std::size_t common =
-                std::min(wr.size(), rd.size());
-            std::size_t k = 0;
-            while (k < common && wr[k].op == rd[k].op)
-                ++k;
-            if (k == wr.size() && k == rd.size())
                 continue;
-            std::ostringstream msg;
-            msg << "wire-format mismatch between "
-                << cls->qualName << "::" << put->name << " and "
-                << cls->qualName << "::" << get->name << ": ";
-            if (k < common) {
-                msg << "op " << (k + 1) << " writes '"
-                    << wr[k].callee << "' (line " << wr[k].line
-                    << ") but reads '" << rd[k].callee
-                    << "' (line " << rd[k].line << ")";
-            } else if (wr.size() > rd.size()) {
-                msg << "write side emits " << wr.size()
-                    << " wire ops, read side consumes "
-                    << rd.size() << " (first unread: '"
-                    << wr[k].callee << "' at line " << wr[k].line
-                    << ")";
-            } else {
-                msg << "read side consumes " << rd.size()
-                    << " wire ops, write side emits " << wr.size()
-                    << " (first unmatched read: '" << rd[k].callee
-                    << "' at line " << rd[k].line << ")";
-            }
-            sink.add(*put->file, put->line, "serialize-coverage",
-                     msg.str());
+            sink.add(*cls->file, wholeClass ? cls->line : mem.line,
+                     "serialize-coverage",
+                     "member '" + mem.name + "' of '" +
+                         cls->qualName + "' is not written by " +
+                         bodies[0]->name +
+                         "(); serialize it (and bump "
+                         "checkpointVersion) or justify with an "
+                         "inline allow");
         }
     }
 }

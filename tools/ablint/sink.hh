@@ -2,8 +2,8 @@
  * @file
  * Internals shared by the lexical rule pass (rules.cc) and the
  * semantic pass (sema_rules.cc): token predicates, the inline-allow
- * aware finding sink, the serialized_state.txt parser, and the
- * fatal() allowlist.  Not part of the public ablint API.
+ * aware finding sink, the serialize flavor names, the
+ * serialized_state.txt parser, and the fatal() allowlist.  Not part of the public ablint API.
  */
 
 #ifndef BIGLITTLE_TOOLS_ABLINT_SINK_HH
@@ -79,6 +79,13 @@ struct Sink
         out.push_back(
             {f.path, line, std::move(rule), std::move(message)});
     }
+};
+
+/** The serialize methods a stateful class may define. */
+inline constexpr const char *serializeFlavors[] = {
+    "serialize",
+    "serializeState",
+    "serializePolicy",
 };
 
 /** One parsed line of serialized_state.txt. */
