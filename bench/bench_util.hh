@@ -159,9 +159,6 @@ addRaceOptions(ArgParser &args)
                  "rerun every condition under lifo and seeded-shuffle "
                  "tie-breaks and byte-compare end-state digests "
                  "(implies --race-detect)");
-    args.addString("race-baseline", "",
-                   "abrace suppression baseline, e.g. "
-                   "tools/abrace/baseline.txt");
 }
 
 /** Apply the addRaceOptions() values onto @p cfg. */
@@ -170,7 +167,6 @@ applyRaceOptions(const ArgParser &args, ExperimentConfig &cfg)
 {
     cfg.race.detect =
         args.getFlag("race-detect") || args.getFlag("permute-ties");
-    cfg.race.baselinePath = args.getString("race-baseline");
 }
 
 /**

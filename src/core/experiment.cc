@@ -315,17 +315,6 @@ Experiment::runApp(const AppSpec &app)
     std::unique_ptr<RaceDetector> race;
     if (cfg.race.detect) {
         race = std::make_unique<RaceDetector>();
-        if (!cfg.race.baselinePath.empty()) {
-            const Status loaded =
-                race->loadBaseline(cfg.race.baselinePath);
-            if (!loaded.ok()) {
-                // Run without the baseline rather than dying: the
-                // conservative failure mode is *more* findings.
-                warn("abrace: ignoring baseline '%s': %s",
-                     cfg.race.baselinePath.c_str(),
-                     loaded.toString().c_str());
-            }
-        }
         rig.sim.eventQueue().setRaceDetector(race.get());
     }
     if (cfg.race.tieBreak != TieBreak::fifo) {
@@ -518,9 +507,7 @@ Experiment::runApp(const AppSpec &app)
                        pf.core));
             break;
         }
-        if (cfg.recovery.supervised &&
-            cfg.recovery.failOnInvariantViolation &&
-            rig.checker != nullptr &&
+        if (cfg.recovery.supervised && rig.checker != nullptr &&
             rig.checker->violationCount() > violations_seen) {
             const auto &recorded = rig.checker->violations();
             recordFailure(RecoveryTrigger::invariantViolation,
@@ -587,7 +574,6 @@ Experiment::runApp(const AppSpec &app)
         race->finish();
         rig.sim.eventQueue().setRaceDetector(nullptr);
         result.raceConflicts = race->conflicts().size();
-        result.raceSuppressed = race->suppressedCount();
         result.raceReport = race->report();
         if (result.raceConflicts > 0) {
             warn("abrace: %llu conflict(s) in app '%s':\n%s",

@@ -104,12 +104,6 @@ struct RaceParams
 
     /** Seed of the `shuffle` tie-break's private generator. */
     std::uint64_t shuffleSeed = 1;
-
-    /**
-     * abrace suppression baseline to load (empty = none).  The
-     * checked-in tools/abrace/baseline.txt is empty and stays so.
-     */
-    std::string baselinePath;
 };
 
 /** One checkpoint file written during a run. */
@@ -145,13 +139,6 @@ struct RecoveryParams
      * retry.
      */
     bool supervised = false;
-
-    /**
-     * Treat a failed periodic invariant sweep as a run failure (only
-     * meaningful when supervised; the unsupervised contract is that
-     * invariant violations are recorded, never fatal).
-     */
-    bool failOnInvariantViolation = false;
 
     /**
      * Timed recovery actions, in append order.  Each action is
@@ -299,8 +286,7 @@ struct AppRunResult
     std::uint64_t scriptApplied = 0; ///< recovery actions applied
 
     // abrace (populated when cfg.race.detect)
-    std::uint64_t raceConflicts = 0; ///< distinct unsuppressed conflicts
-    std::uint64_t raceSuppressed = 0; ///< occurrences suppressed
+    std::uint64_t raceConflicts = 0; ///< distinct conflicts
     std::string raceReport; ///< TSan-style details, empty when clean
 
     /**

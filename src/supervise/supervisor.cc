@@ -35,6 +35,27 @@ struct IncidentState
     Rung rung = Rung::retrying;
 };
 
+/**
+ * Rollback-retries granted per incident signature before the
+ * supervisor escalates to quarantining the implicated component.
+ */
+constexpr std::uint32_t perIncidentRetries = 2;
+
+/**
+ * Total rollback-retries across the whole run; when spent, the next
+ * failure quarantines immediately, and once nothing is left to
+ * quarantine the run is declared failed.
+ */
+constexpr std::uint32_t totalRetryBudget = 8;
+
+/**
+ * Hard cap on attempts (first run included): the retry budget plus
+ * one quarantine and one disable rung per fault class is enough
+ * headroom for any escalation the ladder can take.
+ */
+constexpr std::uint32_t maxAttempts =
+    totalRetryBudget + 2 * faultClassCount + 2;
+
 } // namespace
 
 std::uint64_t
@@ -56,15 +77,8 @@ Supervisor::run(const AppSpec &app)
 {
     ExperimentConfig cfg = baseCfg;
     cfg.recovery.supervised = true;
-    cfg.recovery.failOnInvariantViolation = sp.failOnInvariantViolation;
     if (cfg.snapshot.checkpointEvery == 0 && sp.checkpointEvery > 0)
         cfg.snapshot.checkpointEvery = sp.checkpointEvery;
-
-    // Budget + one quarantine and one disable rung per fault class
-    // is enough headroom for any escalation the ladder can take.
-    const std::uint32_t max_attempts = sp.maxAttempts > 0
-        ? sp.maxAttempts
-        : sp.retry.totalRetryBudget + 2 * faultClassCount + 2;
 
     SupervisedRunResult out;
     RecoveryReport &report = out.report;
@@ -116,13 +130,13 @@ Supervisor::run(const AppSpec &app)
 
         IncidentState &inc = incidents[r.failureIncident];
 
-        if (attempt >= max_attempts) {
+        if (attempt >= maxAttempts) {
             report.events.push_back(std::move(ev));
             report.outcome = RecoveryOutcome::failed;
             report.finalStateDigest = finalStateDigest(r);
             out.run = std::move(r);
             warn("supervisor: attempt cap (%u) reached\n%s",
-                 max_attempts, report.toString().c_str());
+                 maxAttempts, report.toString().c_str());
             return out;
         }
 
@@ -145,8 +159,8 @@ Supervisor::run(const AppSpec &app)
         };
 
         const bool budget_left =
-            inc.retries < sp.retry.perIncidentRetries &&
-            total_retries < sp.retry.totalRetryBudget;
+            inc.retries < perIncidentRetries &&
+            total_retries < totalRetryBudget;
 
         const auto addAction = [&](RecoveryAction act) {
             ev.actions.push_back(act);
@@ -158,11 +172,15 @@ Supervisor::run(const AppSpec &app)
             ++inc.retries;
             ++total_retries;
             ++report.retries;
+            // Each retry of the same incident rolls back
+            // exponentially further: retry k resumes from the
+            // (2^k - 1)-th-newest good checkpoint (clamped to the
+            // oldest; a fresh start when none), so a persistently
+            // poisoned recent state cannot trap the supervisor in a
+            // tight rollback loop.
             const std::uint32_t k = std::min(inc.retries, 16u);
-            const std::size_t offset = sp.retry.exponentialRollback
-                ? (std::size_t{1} << k) - 2
-                : 0;
-            const auto [roll_tick, roll_path] = rollbackTarget(offset);
+            const auto [roll_tick, roll_path] =
+                rollbackTarget((std::size_t{1} << k) - 2);
             ev.rollbackTo = roll_tick;
             cfg.snapshot.resumePath = roll_path;
 
@@ -189,7 +207,7 @@ Supervisor::run(const AppSpec &app)
             ++perturb;
             inform("supervisor: retry %u/%u for [%s], rollback to "
                    "tick %llu",
-                   inc.retries, sp.retry.perIncidentRetries,
+                   inc.retries, perIncidentRetries,
                    ev.incident.c_str(),
                    static_cast<unsigned long long>(roll_tick));
         } else if (inc.rung == Rung::retrying ||

@@ -44,18 +44,6 @@ namespace biglittle
 /** Tuning of the supervision loop. */
 struct SupervisorParams
 {
-    /** Retry budget and rollback escalation. */
-    RetryPolicy retry;
-
-    /**
-     * Hard cap on attempts (first run included); 0 derives it from
-     * the retry budget with headroom for the quarantine rungs.
-     */
-    std::uint32_t maxAttempts = 0;
-
-    /** Treat a failed invariant sweep as a run failure. */
-    bool failOnInvariantViolation = true;
-
     /**
      * Checkpoint period forced onto configs that have none (0 keeps
      * the config's own snapshot settings untouched; a config without

@@ -1,9 +1,8 @@
 /**
  * @file
  * RaceDetector unit tests: conflict detection over same-(tick,
- * priority) batches, causal-ordering exemption, suppression (inline
- * allow rules, globs, baseline text), dedup/counting, provenance,
- * and the report format.
+ * priority) batches, causal-ordering exemption, dedup/counting,
+ * provenance, and the report format.
  */
 
 #include <gtest/gtest.h>
@@ -163,61 +162,6 @@ TEST(RaceDetector, DuplicateConflictsAreCountedOnce)
     EXPECT_EQ(t.race.conflicts()[0].tick, 10u);
 }
 
-TEST(RaceDetector, InlineAllowSuppresses)
-{
-    TrackedSim t;
-    t.race.allow("a", "b", "comp/f");
-    t.at(10, "a", [&] { t.sim.noteWrite("comp", "f"); });
-    t.at(10, "b", [&] { t.sim.noteWrite("comp", "f"); });
-    t.finish();
-    EXPECT_TRUE(t.race.conflicts().empty());
-    EXPECT_EQ(t.race.suppressedCount(), 1u);
-}
-
-TEST(RaceDetector, AllowMatchesEitherOrderAndGlobs)
-{
-    TrackedSim t;
-    t.race.allow("b*", "a", "comp/*");
-    t.at(10, "a", [&] { t.sim.noteWrite("comp", "f"); });
-    t.at(10, "b2", [&] { t.sim.noteWrite("comp", "f"); });
-    t.finish();
-    EXPECT_TRUE(t.race.conflicts().empty());
-    EXPECT_EQ(t.race.suppressedCount(), 1u);
-}
-
-TEST(RaceDetector, NonMatchingAllowDoesNotSuppress)
-{
-    TrackedSim t;
-    t.race.allow("x", "y", "*");
-    t.at(10, "a", [&] { t.sim.noteWrite("comp", "f"); });
-    t.at(10, "b", [&] { t.sim.noteWrite("comp", "f"); });
-    t.finish();
-    EXPECT_EQ(t.race.conflicts().size(), 1u);
-    EXPECT_EQ(t.race.suppressedCount(), 0u);
-}
-
-TEST(RaceDetector, BaselineTextSuppressesAndSkipsComments)
-{
-    TrackedSim t;
-    t.race.loadBaselineText("# comment line\n"
-                            "\n"
-                            "a|b|comp/f\n");
-    t.at(10, "a", [&] { t.sim.noteWrite("comp", "f"); });
-    t.at(10, "b", [&] { t.sim.noteWrite("comp", "f"); });
-    t.finish();
-    EXPECT_TRUE(t.race.conflicts().empty());
-    EXPECT_EQ(t.race.suppressedCount(), 1u);
-}
-
-TEST(RaceDetector, MissingBaselineFileIsAnError)
-{
-    RaceDetector race;
-    const Status st =
-        race.loadBaseline("/nonexistent/abrace-baseline.txt");
-    EXPECT_FALSE(st.ok());
-    EXPECT_EQ(st.code(), StatusCode::notFound);
-}
-
 TEST(RaceDetector, ProvenanceNamesTheSchedulingEvent)
 {
     TrackedSim t;
@@ -236,7 +180,7 @@ TEST(RaceDetector, ProvenanceNamesTheSchedulingEvent)
     EXPECT_NE(report.find("peer"), std::string::npos);
     EXPECT_NE(report.find("child"), std::string::npos);
     EXPECT_NE(report.find("comp/f"), std::string::npos);
-    // Baseline keys are canonical: event names in sorted order.
+    // Conflict keys are canonical: event names in sorted order.
     EXPECT_NE(report.find("child|peer|comp/f"), std::string::npos);
 }
 
@@ -275,23 +219,3 @@ TEST(RaceDetector, CleanRunReportIsEmpty)
     EXPECT_EQ(t.race.eventsTracked(), 2u);
 }
 
-#ifdef ABRACE_BASELINE_PATH
-/**
- * Meta-test mirroring ablint's AblintRepo: the checked-in baseline
- * (tools/abrace/baseline.txt) must load cleanly and suppress
- * NOTHING - conflicts get fixed with distinct priorities or inline
- * allows, never parked in the baseline (docs/DETERMINISM.md).
- */
-TEST(RaceDetector, CheckedInBaselineLoadsAndIsEmpty)
-{
-    TrackedSim t;
-    ASSERT_TRUE(t.race.loadBaseline(ABRACE_BASELINE_PATH).ok());
-    // A synthetic conflict must still be reported: nothing in the
-    // shipped file may act as a suppression rule.
-    t.at(10, "a", [&] { t.sim.noteWrite("comp", "f"); });
-    t.at(10, "b", [&] { t.sim.noteWrite("comp", "f"); });
-    t.finish();
-    EXPECT_EQ(t.race.conflicts().size(), 1u);
-    EXPECT_EQ(t.race.suppressedCount(), 0u);
-}
-#endif

@@ -4,8 +4,7 @@
  * (parameter parsing, per-function summaries across branches,
  * loops, multi-hop call chains and constructor init lists), the
  * known-bad / suppressed / sanitized-clean triple for each of the
- * three flow rules, the taint-bound vs deser-bound dedupe, and a
- * meta-test that re-lints the real checkout with the flow rules on.
+ * three flow rules, and a meta-test that re-lints the real checkout with the flow rules on.
  *
  * Trigger constructs live inside string literals so linting this
  * file never trips the rules it tests.
@@ -340,6 +339,82 @@ TEST(AbflowTaintBound, SanitizedInCallerOfTaintedHelper)
     EXPECT_EQ(countRule(findings, "taint-bound"), 0u);
 }
 
+TEST(AbflowTaintBound, RawReadSizingResizeIsFlagged)
+{
+    const auto findings = lintFlow(
+        {{"src/a.cc",
+          "void f(Deserializer &d) {\n"
+          "    const std::uint64_t n = d.getU64();\n"
+          "    out.resize(n);\n" // unchecked wire count: flagged
+          "}\n"}});
+    EXPECT_EQ(countRule(findings, "taint-bound"), 1u);
+}
+
+TEST(AbflowTaintBound, NewArrayAndAssignAreFlagged)
+{
+    const auto findings = lintFlow(
+        {{"src/a.cc",
+          "void f(Deserializer &d) {\n"
+          "    const std::uint64_t n = d.getU32();\n"
+          "    auto *buf = new std::uint8_t[n];\n" // flagged
+          "    counts.assign(n, 0);\n" // flagged
+          "}\n"}});
+    EXPECT_EQ(countRule(findings, "taint-bound"), 2u);
+}
+
+TEST(AbflowTaintBound, GetCountCompareAndMinClampAreClean)
+{
+    // getCount() carries the bound check internally.
+    const auto viaGetCount = lintFlow(
+        {{"src/a.cc",
+          "void f(Deserializer &d) {\n"
+          "    const std::uint64_t n = d.getCount(8);\n"
+          "    out.resize(n);\n"
+          "}\n"}});
+    EXPECT_EQ(countRule(viaGetCount, "taint-bound"), 0u);
+
+    // An explicit comparison before use counts as a check.
+    const auto compared = lintFlow(
+        {{"src/b.cc",
+          "void f(Deserializer &d) {\n"
+          "    const std::uint64_t n = d.getU64();\n"
+          "    if (n > d.left())\n"
+          "        return;\n"
+          "    out.reserve(n);\n"
+          "}\n"}});
+    EXPECT_EQ(countRule(compared, "taint-bound"), 0u);
+
+    // So does clamping through std::min() at the sink.
+    const auto clamped = lintFlow(
+        {{"src/c.cc",
+          "void f(Deserializer &d) {\n"
+          "    const std::uint64_t n = d.getU64();\n"
+          "    out.assign(std::min<std::size_t>(n, 64), 0);\n"
+          "}\n"}});
+    EXPECT_EQ(countRule(clamped, "taint-bound"), 0u);
+}
+
+TEST(AbflowTaintBound, SuppressedAndTestScopedVariants)
+{
+    const auto suppressed = lintFlow(
+        {{"src/a.cc",
+          "void f(Deserializer &d) {\n"
+          "    const std::uint64_t n = d.getU64();\n"
+          "    // ablint:allow(taint-bound): n is a enum tag, <= 8\n"
+          "    out.resize(n);\n"
+          "}\n"}});
+    EXPECT_EQ(countRule(suppressed, "taint-bound"), 0u);
+
+    // The fixture RawReadSizingResizeIsFlagged flags, under tests/.
+    const auto inTest = lintFlow(
+        {{"tests/a.cc",
+          "void f(Deserializer &d) {\n"
+          "    const std::uint64_t n = d.getU64();\n"
+          "    out.resize(n);\n"
+          "}\n"}});
+    EXPECT_EQ(countRule(inTest, "taint-bound"), 0u);
+}
+
 // ---- unit-mix: known-bad / suppressed / clean ------------------------
 
 TEST(AbflowUnitMix, MsComparedAgainstTickIsFlagged)
@@ -477,28 +552,6 @@ TEST(AbflowStatusDrop, LoopCarriedUseIsClean)
     EXPECT_EQ(countRule(findings, "status-drop"), 0u);
 }
 
-// ---- dedupe: taint-bound supersedes deser-bound ----------------------
-
-TEST(AbflowDedupe, TaintBoundSupersedesDeserBoundOnSameLine)
-{
-    // A one-function chain trips both the lexical deser-bound and
-    // the interprocedural taint-bound on the same sink line; the
-    // combined pass must keep only the flow finding.
-    ablint::ScanInput in = makeInput(
-        {{"src/a.cc",
-          "void decode(Deserializer &d, std::vector<int> &v) {\n"
-          "    const std::uint64_t n = d.getU64();\n"
-          "    v.resize(n);\n"
-          "}\n"}});
-    const auto all = ablint::runAllRules(in);
-    EXPECT_EQ(countRule(all, "taint-bound"), 1u);
-    EXPECT_EQ(countRule(all, "deser-bound"), 0u);
-    // The lexical rule alone still fires - the dedupe, not the
-    // rule, removed it.
-    const auto lexical = ablint::runRules(in);
-    EXPECT_EQ(countRule(lexical, "deser-bound"), 1u);
-}
-
 // ---- profile plumbing ------------------------------------------------
 
 TEST(AbflowProfile, PerRuleTimingsAreRecorded)
@@ -521,7 +574,7 @@ TEST(AbflowProfile, PerRuleTimingsAreRecorded)
 TEST(AbflowMeta, RepoIsFlowClean)
 {
     const auto findings =
-        ablint::runOnRepo(ABLINT_REPO_ROOT, "", "", "", {});
+        ablint::runOnRepo(ABLINT_REPO_ROOT, "", "", {});
     std::size_t flowFindings = 0;
     for (const auto &f : findings) {
         if (f.rule == "taint-bound" || f.rule == "unit-mix" ||

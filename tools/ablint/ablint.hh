@@ -57,9 +57,6 @@
  *                    reads, config/argv numeric parses) to
  *                    allocation-size, loop-bound and index sinks,
  *                    sanitized by getCount()/clamp comparisons;
- *                    supersedes the one-file lexical deser-bound
- *                    across call boundaries (overlapping findings
- *                    are deduplicated in its favor);
  *  - unit-mix        a unit-domain lattice (Tick/ns, ms, us, s,
  *                    kHz, Hz, dimensionless) seeded from
  *                    src/base/types.hh typedefs, the conversion
@@ -71,11 +68,8 @@
  *                    branched on, propagated, or logged.
  *
  * Suppression: `// ablint:allow(rule[,rule]): why` on the violating
- * line or the line directly above it, or a checked-in baseline file
- * (tools/ablint/baseline.txt) of `path:line:rule` entries.  Baseline
- * entries that no longer match anything (moved line, fixed code,
- * deleted file) are themselves reported as `stale-baseline`, so the
- * baseline can only shrink.
+ * line or the line directly above it.  There is no baseline file: a
+ * finding is fixed or justified where it stands.
  *
  * The tool is standalone (no dependency on the simulation libraries)
  * so it can never be broken by the code it checks.
@@ -134,9 +128,6 @@ struct LexedFile
 
     /** Every allow directive, one entry per comment. */
     std::vector<AllowDirective> directives;
-
-    /** Total number of source lines (for baseline staleness). */
-    int lineCount = 0;
 
     /** True for files under tests/ (some rules are src-only). */
     bool isTest = false;
@@ -231,12 +222,7 @@ std::vector<Finding> runFlowRules(const ScanInput &in,
 std::vector<Finding> staleAllowFindings(const ScanInput &in,
                                         const AllowUse &uses);
 
-/**
- * runRules + runSemaRules + runFlowRules + staleAllowFindings,
- * sorted.  Overlap dedupe: a lexical `deser-bound` finding on a
- * file:line where interprocedural `taint-bound` also fired is
- * dropped in favor of the flow finding.
- */
+/** runRules + runSemaRules + runFlowRules + staleAllowFindings, sorted. */
 std::vector<Finding> runAllRules(const ScanInput &in,
                                  RuleProfile *profile = nullptr);
 
@@ -257,16 +243,6 @@ std::string renderSchemaManifest(const ScanInput &in);
  */
 std::string schemaRegenBlocked(const ScanInput &in);
 
-/**
- * Apply the baseline: drop findings matched by a `path:line:rule`
- * entry; append a `stale-baseline` finding for every entry that
- * matched nothing or references a line past the end of its file.
- */
-std::vector<Finding> applyBaseline(const std::vector<Finding> &raw,
-                                   const std::string &baselineText,
-                                   const std::string &baselinePath,
-                                   const ScanInput &in);
-
 /** Names of all rules, for --list-rules and directive validation. */
 const std::vector<std::string> &ruleNames();
 
@@ -282,11 +258,10 @@ ScanInput loadRepo(const std::string &repoRoot,
 
 /**
  * Scan a repo checkout: loadRepo(), then every rule pass (lexical +
- * semantic + stale-allow) and the baseline.  Returns the final
- * findings; I/O failures throw std::runtime_error.
+ * semantic + dataflow + stale-allow).  Returns the final findings;
+ * I/O failures throw std::runtime_error.
  */
 std::vector<Finding> runOnRepo(const std::string &repoRoot,
-                               const std::string &baselinePath,
                                const std::string &registryPath,
                                const std::string &schemaPath,
                                const std::vector<std::string> &extraPaths,

@@ -170,6 +170,32 @@ class BodyAnalyzer
         return e;
     }
 
+    /**
+     * The '(' opening a call of the clamp/bound helper at @p j,
+     * past an explicit template argument list
+     * (`std::min<std::size_t>(n, cap)`); e when @p j is not one.
+     */
+    std::size_t
+    cleanCallOpen(std::size_t j) const
+    {
+        if (flowdetail::cleanCalls().count(toks[j].text) == 0)
+            return e;
+        std::size_t k = j + 1;
+        if (k < e && isPunct(toks[k], '<')) {
+            int angle = 0;
+            for (; k < e; ++k) {
+                if (isPunct(toks[k], '<'))
+                    ++angle;
+                else if (isPunct(toks[k], '>') && --angle == 0)
+                    break;
+                else if (isPunct(toks[k], ';') || isPunct(toks[k], '('))
+                    return e;
+            }
+            ++k;
+        }
+        return k < e && isPunct(toks[k], '(') ? k : e;
+    }
+
     std::size_t
     matchBracket(std::size_t open) const
     {
@@ -369,14 +395,15 @@ class BodyAnalyzer
             const Token &tk = toks[j];
             if (tk.kind != TokKind::identifier)
                 continue;
+            const std::size_t cleanOpen = cleanCallOpen(j);
+            if (cleanOpen < to) {
+                j = matchParen(cleanOpen); // clamped/bounded: clean
+                continue;
+            }
             const bool isCall =
                 j + 1 < to && isPunct(toks[j + 1], '(');
             if (isCall) {
                 const std::size_t close = matchParen(j + 1);
-                if (flowdetail::cleanCalls().count(tk.text)) {
-                    j = close; // clamped/bounded: clean
-                    continue;
-                }
                 if (flowdetail::taintingReads().count(tk.text)) {
                     VarTaint s;
                     s.fromSource = true;
@@ -606,9 +633,7 @@ class BodyAnalyzer
                     sanitizing = false;
                     for (std::size_t k = j + 2; k < end; ++k) {
                         if (toks[k].kind == TokKind::identifier &&
-                            flowdetail::cleanCalls().count(
-                                toks[k].text) > 0 &&
-                            k + 1 < e && isPunct(toks[k + 1], '(')) {
+                            cleanCallOpen(k) < end) {
                             sanitizing = true;
                             break;
                         }

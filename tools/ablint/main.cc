@@ -2,8 +2,8 @@
  * @file
  * ablint CLI.
  *
- *   ablint --repo <root> [--baseline F] [--registry F] [--schema F]
- *          [--write-baseline F] [--write-schema] [--format=FMT]
+ *   ablint --repo <root> [--registry F] [--schema F]
+ *          [--write-schema] [--format=FMT]
  *          [--profile] [--list-rules] [extra paths...]
  *
  * --format is text (default), github (::error workflow commands for
@@ -33,10 +33,8 @@ main(int argc, char **argv)
     using namespace biglittle::ablint;
 
     std::string repo = ".";
-    std::string baseline;
     std::string registry;
     std::string schema;
-    std::string writeBaseline;
     std::string format = "text";
     bool writeSchema = false;
     bool profile = false;
@@ -55,14 +53,10 @@ main(int argc, char **argv)
         };
         if (arg == "--repo") {
             repo = value();
-        } else if (arg == "--baseline") {
-            baseline = value();
         } else if (arg == "--registry") {
             registry = value();
         } else if (arg == "--schema") {
             schema = value();
-        } else if (arg == "--write-baseline") {
-            writeBaseline = value();
         } else if (arg == "--write-schema") {
             writeSchema = true;
         } else if (arg == "--profile") {
@@ -77,10 +71,8 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
-                "usage: ablint [--repo ROOT] [--baseline FILE]\n"
-                "              [--registry FILE] [--schema FILE]\n"
-                "              [--write-baseline FILE] "
-                "[--write-schema]\n"
+                "usage: ablint [--repo ROOT] [--registry FILE]\n"
+                "              [--schema FILE] [--write-schema]\n"
                 "              [--format=text|github|json] "
                 "[--profile]\n"
                 "              [--list-rules] [extra paths...]\n"
@@ -137,8 +129,7 @@ main(int argc, char **argv)
     std::vector<Finding> findings;
     RuleProfile ruleProfile;
     try {
-        findings = runOnRepo(repo, baseline, registry, schema,
-                             extras,
+        findings = runOnRepo(repo, registry, schema, extras,
                              profile ? &ruleProfile : nullptr);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());
@@ -160,29 +151,6 @@ main(int argc, char **argv)
             std::fprintf(stderr, "  %10.3f  %s\n", ms,
                          name.c_str());
         std::fprintf(stderr, "  %10.3f  total\n", total);
-    }
-
-    if (!writeBaseline.empty()) {
-        std::ofstream out(writeBaseline);
-        if (!out) {
-            std::fprintf(stderr,
-                         "ablint: cannot write baseline '%s'\n",
-                         writeBaseline.c_str());
-            return 2;
-        }
-        out << "# ablint suppression baseline: path:line:rule\n"
-            << "# regenerate with: ablint --repo . "
-               "--write-baseline tools/ablint/baseline.txt\n";
-        for (const auto &f : findings) {
-            if (f.rule == "stale-baseline")
-                continue;
-            out << f.file << ":" << f.line << ":" << f.rule << "\n";
-        }
-        std::printf("ablint: wrote %zu baseline entr%s to %s\n",
-                    findings.size(),
-                    findings.size() == 1 ? "y" : "ies",
-                    writeBaseline.c_str());
-        return 0;
     }
 
     if (format == "json") {

@@ -11,7 +11,6 @@
 #include "sink.hh"
 
 #include <algorithm>
-#include <sstream>
 
 namespace biglittle::ablint
 {
@@ -427,168 +426,6 @@ voidDiscardRule(const LexedFile &f, Sink &sink)
     }
 }
 
-// ---- deser-bound ---------------------------------------------------
-
-/**
- * Flag container allocations sized by a raw Deserializer read.  A
- * count that came straight off the wire via getU64()/getU32()/
- * getI64() must not size a reserve()/resize()/assign() or a
- * `new T[n]` without a bound check first: a hostile length field
- * turns the allocation into an OOM bomb.  Deserializer::getCount()
- * carries the check built in (a count can never exceed the bytes
- * left to decode it from), so values read through it are clean —
- * this rule exists to push every new decode site toward it.
- *
- * A tainted variable is considered checked if it ever appears next
- * to a `<` or `>` comparison or inside a min()/max() call before
- * use.  Token-level like every ablint rule: it sees one file at a
- * time and does not track taint across functions or calls.
- */
-void
-deserBoundRule(const LexedFile &f, Sink &sink)
-{
-    if (f.isTest)
-        return;
-    const auto &toks = f.tokens;
-
-    static const std::set<std::string> taintingReads = {
-        "getU64", "getU32", "getI64"};
-
-    // Pass 1: variables assigned from a raw deserializer read
-    // (`name = d.getU64(` with no ';' in between), and variables
-    // that are ever bound-checked.
-    std::set<std::string> tainted;
-    std::set<std::string> checked;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-        if (!isPunct(toks[i], '.') ||
-            toks[i + 1].kind != TokKind::identifier ||
-            taintingReads.count(toks[i + 1].text) == 0 ||
-            !isPunct(toks[i + 2], '('))
-            continue;
-        // Walk back to the `=` of the enclosing statement.
-        std::size_t j = i;
-        while (j > 0 && !isPunct(toks[j], ';') &&
-               !isPunct(toks[j], '{') && !isPunct(toks[j], '='))
-            --j;
-        if (!isPunct(toks[j], '=') || j == 0 ||
-            toks[j - 1].kind != TokKind::identifier)
-            continue;
-        tainted.insert(toks[j - 1].text);
-    }
-    if (tainted.empty())
-        return;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        if (toks[i].kind != TokKind::identifier ||
-            tainted.count(toks[i].text) == 0)
-            continue;
-        const bool cmpBefore =
-            i > 0 && (isPunct(toks[i - 1], '<') ||
-                      isPunct(toks[i - 1], '>'));
-        const bool cmpAfter = i + 1 < toks.size() &&
-                              (isPunct(toks[i + 1], '<') ||
-                               isPunct(toks[i + 1], '>'));
-        if (cmpBefore || cmpAfter)
-            checked.insert(toks[i].text);
-    }
-    // min()/max() clamps count as a check too.
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-        if (toks[i].kind != TokKind::identifier ||
-            (toks[i].text != "min" && toks[i].text != "max"))
-            continue;
-        // Skip an explicit template argument list:
-        // std::min<std::size_t>(n, cap).
-        std::size_t open = i + 1;
-        if (open < toks.size() && isPunct(toks[open], '<')) {
-            int angle = 0;
-            while (open < toks.size()) {
-                if (isPunct(toks[open], '<'))
-                    ++angle;
-                else if (isPunct(toks[open], '>') && --angle == 0) {
-                    ++open;
-                    break;
-                }
-                ++open;
-            }
-        }
-        if (open >= toks.size() || !isPunct(toks[open], '('))
-            continue;
-        int depth = 0;
-        for (std::size_t j = open; j < toks.size(); ++j) {
-            if (isPunct(toks[j], '('))
-                ++depth;
-            else if (isPunct(toks[j], ')') && --depth == 0)
-                break;
-            else if (toks[j].kind == TokKind::identifier &&
-                     tainted.count(toks[j].text))
-                checked.insert(toks[j].text);
-        }
-    }
-
-    // Pass 2: tainted, unchecked variables inside the argument list
-    // of an allocation-sizing call.
-    const auto flagArgs = [&](std::size_t open, int line,
-                              const std::string &what) {
-        int depth = 0;
-        for (std::size_t j = open; j < toks.size(); ++j) {
-            if (isPunct(toks[j], '('))
-                ++depth;
-            else if (isPunct(toks[j], ')') && --depth == 0)
-                return;
-            else if (toks[j].kind == TokKind::identifier &&
-                     tainted.count(toks[j].text) &&
-                     checked.count(toks[j].text) == 0) {
-                sink.add(f, line, "deser-bound",
-                         "'" + toks[j].text + "' comes straight "
-                             "from a Deserializer read and sizes " +
-                             what +
-                             " without a bound check; read it "
-                             "with getCount() (or clamp it) so a "
-                             "hostile length field cannot force a "
-                             "huge allocation");
-            }
-        }
-    };
-    static const std::set<std::string> allocCalls = {
-        "reserve", "resize", "assign"};
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-        if (isPunct(toks[i], '.') &&
-            toks[i + 1].kind == TokKind::identifier &&
-            allocCalls.count(toks[i + 1].text) > 0 &&
-            isPunct(toks[i + 2], '(')) {
-            flagArgs(i + 2, toks[i + 1].line,
-                     "a " + toks[i + 1].text + "()");
-        }
-        // new T[n] / new T[n]{...}
-        if (isIdent(toks[i], "new")) {
-            std::size_t j = i + 1;
-            while (j < toks.size() &&
-                   (toks[j].kind == TokKind::identifier ||
-                    isPunct(toks[j], ':') || isPunct(toks[j], '<') ||
-                    isPunct(toks[j], '>')))
-                ++j;
-            if (j < toks.size() && isPunct(toks[j], '[')) {
-                for (std::size_t k = j + 1;
-                     k < toks.size() && !isPunct(toks[k], ']');
-                     ++k) {
-                    if (toks[k].kind == TokKind::identifier &&
-                        tainted.count(toks[k].text) &&
-                        checked.count(toks[k].text) == 0) {
-                        sink.add(
-                            f, toks[k].line, "deser-bound",
-                            "'" + toks[k].text + "' comes "
-                                "straight from a Deserializer "
-                                "read and sizes a new[] without "
-                                "a bound check; read it with "
-                                "getCount() (or clamp it) so a "
-                                "hostile length field cannot "
-                                "force a huge allocation");
-                    }
-                }
-            }
-        }
-    }
-}
-
 // ---- serialize-registry --------------------------------------------
 
 struct ClassRecord
@@ -814,9 +651,8 @@ ruleNames()
 {
     static const std::vector<std::string> names = {
         "wall-clock",     "unordered-iter",     "pointer-key",
-        "static-mutable", "void-discard",       "deser-bound",
-        "serialize-registry", "config-key",     "post-init-fatal",
-        "stale-baseline",
+        "static-mutable", "void-discard",       "serialize-registry",
+        "config-key",     "post-init-fatal",
         // absema (semantic) rules, sema_rules.cc:
         "serialize-coverage", "schema-drift", "fatal-reach",
         "rng-stream", "layer-cycle", "stale-allow",
@@ -841,7 +677,6 @@ runRules(const ScanInput &in, AllowUse *uses, RuleProfile *profile)
         {"pointer-key", pointerKeyRule},
         {"static-mutable", staticMutableRule},
         {"void-discard", voidDiscardRule},
-        {"deser-bound", deserBoundRule},
         {"post-init-fatal", postInitFatalRule},
     };
     for (const auto &r : fileRules) {
@@ -867,95 +702,6 @@ runRules(const ScanInput &in, AllowUse *uses, RuleProfile *profile)
                   return a.rule < b.rule;
               });
     return findings;
-}
-
-std::vector<Finding>
-applyBaseline(const std::vector<Finding> &raw,
-              const std::string &baselineText,
-              const std::string &baselinePath, const ScanInput &in)
-{
-    struct Entry
-    {
-        std::string file;
-        int line = 0;
-        std::string rule;
-        int srcLine = 0; ///< line in the baseline file
-        bool matched = false;
-    };
-    std::vector<Entry> entries;
-    {
-        std::istringstream stream(baselineText);
-        std::string line;
-        int line_no = 0;
-        while (std::getline(stream, line)) {
-            ++line_no;
-            const auto hash = line.find('#');
-            if (hash != std::string::npos)
-                line = line.substr(0, hash);
-            while (!line.empty() &&
-                   (line.back() == ' ' || line.back() == '\r' ||
-                    line.back() == '\t'))
-                line.pop_back();
-            if (line.empty())
-                continue;
-            const auto c2 = line.rfind(':');
-            const auto c1 =
-                c2 == std::string::npos
-                    ? std::string::npos
-                    : line.rfind(':', c2 - 1);
-            if (c1 == std::string::npos) {
-                entries.push_back({line, 0, "", line_no, false});
-                continue;
-            }
-            Entry e;
-            e.file = line.substr(0, c1);
-            e.line = std::atoi(line.substr(c1 + 1, c2 - c1 - 1).c_str());
-            e.rule = line.substr(c2 + 1);
-            e.srcLine = line_no;
-            entries.push_back(std::move(e));
-        }
-    }
-
-    std::vector<Finding> kept;
-    for (const auto &f : raw) {
-        bool suppressed = false;
-        for (auto &e : entries) {
-            if (e.file == f.file && e.line == f.line &&
-                e.rule == f.rule) {
-                e.matched = true;
-                suppressed = true;
-            }
-        }
-        if (!suppressed)
-            kept.push_back(f);
-    }
-
-    for (const auto &e : entries) {
-        if (e.matched)
-            continue;
-        std::string why = "matches no current finding";
-        bool fileKnown = false;
-        for (const auto &lf : in.files) {
-            if (lf.path == e.file) {
-                fileKnown = true;
-                if (e.line > lf.lineCount)
-                    why = "references line " +
-                          std::to_string(e.line) + " past the end "
-                          "of the file (" +
-                          std::to_string(lf.lineCount) + " lines)";
-                break;
-            }
-        }
-        if (!fileKnown)
-            why = "references a file that is no longer scanned";
-        kept.push_back({baselinePath, e.srcLine, "stale-baseline",
-                        "baseline entry '" + e.file + ":" +
-                            std::to_string(e.line) + ":" + e.rule +
-                            "' " + why +
-                            "; delete it (the baseline only "
-                            "shrinks)"});
-    }
-    return kept;
 }
 
 } // namespace biglittle::ablint

@@ -139,26 +139,14 @@ loadRepo(const std::string &repoRoot,
 }
 
 std::vector<Finding>
-runOnRepo(const std::string &repoRoot, const std::string &baselinePath,
-          const std::string &registryPath,
+runOnRepo(const std::string &repoRoot, const std::string &registryPath,
           const std::string &schemaPath,
           const std::vector<std::string> &extraPaths,
           RuleProfile *profile)
 {
-    const fs::path root(repoRoot);
-    const ScanInput in =
-        loadRepo(repoRoot, registryPath, schemaPath, extraPaths);
-
-    const std::vector<Finding> raw = runAllRules(in, profile);
-
-    const fs::path baseline =
-        baselinePath.empty()
-            ? root / "tools" / "ablint" / "baseline.txt"
-            : fs::path(baselinePath);
-    const std::string baselineText =
-        fs::exists(baseline) ? readFile(baseline) : std::string();
-    return applyBaseline(raw, baselineText,
-                         repoRelative(root, baseline), in);
+    return runAllRules(
+        loadRepo(repoRoot, registryPath, schemaPath, extraPaths),
+        profile);
 }
 
 } // namespace biglittle::ablint

@@ -19,8 +19,8 @@
  *  - layer-cycle         the #include graph respects the src/ layer
  *                        ranks and is acyclic.
  *
- * Plus stale-allow, the mirror of stale-baseline for inline
- * directives, fed by the AllowUse ledger both passes maintain.
+ * Plus stale-allow, which reports inline directives that suppress
+ * nothing, fed by the AllowUse ledger every pass maintains.
  */
 
 #include "model.hh"
@@ -711,22 +711,6 @@ runAllRules(const ScanInput &in, RuleProfile *profile)
     const auto sema = runSemaRules(in, &uses, profile);
     out.insert(out.end(), sema.begin(), sema.end());
     const auto flow = runFlowRules(in, &uses, profile);
-    // taint-bound supersedes the one-file lexical deser-bound: when
-    // both fire on the same file:line, keep the interprocedural
-    // finding (it names the source *and* the sink) and drop the
-    // lexical duplicate.
-    std::set<std::pair<std::string, int>> taintLines;
-    for (const Finding &f : flow) {
-        if (f.rule == "taint-bound")
-            taintLines.insert({f.file, f.line});
-    }
-    out.erase(std::remove_if(
-                  out.begin(), out.end(),
-                  [&](const Finding &f) {
-                      return f.rule == "deser-bound" &&
-                             taintLines.count({f.file, f.line}) > 0;
-                  }),
-              out.end());
     out.insert(out.end(), flow.begin(), flow.end());
     const auto stale = staleAllowFindings(in, uses);
     out.insert(out.end(), stale.begin(), stale.end());
