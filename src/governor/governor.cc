@@ -11,7 +11,8 @@ namespace biglittle
 Governor::Governor(Simulation &sim_in, Cluster &cluster_in,
                    std::string name_in)
     : sim(sim_in), clusterRef(cluster_in),
-      governorName(std::move(name_in))
+      governorName(std::move(name_in)),
+      policyCell(clusterRef.name() + "." + governorName)
 {
 }
 
@@ -35,7 +36,7 @@ Governor::start()
             samplingPeriod(), [this](Tick now) { onSample(now); },
             offsetPriority(EventPriority::governor,
                            clusterRef.core(0).id(), clusterSlots),
-            clusterRef.name() + "." + governorName + ".sample");
+            policyCell + ".sample");
     }
     samplerTask->setPeriod(samplingPeriod());
     samplerTask->start();
@@ -52,7 +53,7 @@ void
 Governor::onSample(Tick now)
 {
     sim.noteRead(clusterRef.name(), "busy");
-    sim.noteWrite(clusterRef.name() + "." + governorName, "policy");
+    sim.noteWrite(policyCell, "policy");
     ++sampleCount;
     sample(now);
 }

@@ -92,6 +92,8 @@ class Governor
   private:
     // ablint:allow(serialize-coverage): fixed at construction from config
     std::string governorName;
+    // ablint:allow(serialize-coverage): derived from the cluster and governor names
+    std::string policyCell; ///< abrace cell "<cluster>.<governor>"
     PeriodicTask *samplerTask = nullptr;
     std::uint64_t sampleCount = 0;
     std::uint64_t deniedCount = 0;

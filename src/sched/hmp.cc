@@ -229,6 +229,15 @@ HmpScheduler::tick(Tick now)
     for (const auto &runner_ptr : runners)
         sim.noteWrite(runner_ptr->core().name(), "rq");
     ++schedStats.ticks;
+    // With every run queue empty the load update, migration pass and
+    // balance below change no state (sleeping tasks' loads stay
+    // frozen until wakeup), so an idle tick ends with its
+    // bookkeeping.
+    const bool idle = std::all_of(
+        runners.begin(), runners.end(),
+        [](const auto &rq) { return rq->depth() == 0; });
+    if (idle)
+        return;
     updateLoads(now);
     migrationPass();
     for (std::size_t i = 0; i < plat.clusterCount(); ++i)
@@ -255,14 +264,14 @@ void
 HmpScheduler::migrationPass()
 {
     // Snapshot the task/core pairs first: migrating mutates queues.
-    std::vector<Task *> candidates;
+    migrationCandidates.clear();
     for (auto &runner_ptr : runners) {
         if (runner_ptr->running() != nullptr)
-            candidates.push_back(runner_ptr->running());
+            migrationCandidates.push_back(runner_ptr->running());
         for (Task *t : runner_ptr->waiting())
-            candidates.push_back(t);
+            migrationCandidates.push_back(t);
     }
-    for (Task *task : candidates) {
+    for (Task *task : migrationCandidates) {
         if (task->pinnedCore())
             continue;
         Core *core = task->core();
@@ -331,19 +340,26 @@ HmpScheduler::balanceCluster(Cluster &cluster)
     while (true) {
         CoreRunner *busiest = nullptr;
         CoreRunner *idlest = nullptr;
+        std::size_t busiest_depth = 0;
+        std::size_t idlest_depth = 0;
         for (std::size_t i = 0; i < cluster.coreCount(); ++i) {
             Core &core = cluster.core(i);
             if (!core.online())
                 continue;
-            CoreRunner &rq = runner(core.id());
-            if (busiest == nullptr || rq.depth() > busiest->depth())
-                busiest = &rq;
-            if (idlest == nullptr || rq.depth() < idlest->depth())
-                idlest = &rq;
+            CoreRunner *rq = runners[core.id()].get();
+            const std::size_t depth = rq->depth();
+            if (busiest == nullptr || depth > busiest_depth) {
+                busiest = rq;
+                busiest_depth = depth;
+            }
+            if (idlest == nullptr || depth < idlest_depth) {
+                idlest = rq;
+                idlest_depth = depth;
+            }
         }
         if (busiest == nullptr || idlest == nullptr)
             return;
-        if (busiest->depth() < idlest->depth() + 2)
+        if (busiest_depth < idlest_depth + 2)
             return;
         // Move one waiting (not running) unpinned task.
         Task *victim = nullptr;

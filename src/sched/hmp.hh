@@ -146,6 +146,8 @@ class HmpScheduler
     std::size_t rrCursor = 0;
     SchedStats schedStats;
     SchedObserver *schedObserver = nullptr;
+    /** migrationPass scratch, reused to spare an allocation a tick. */
+    std::vector<Task *> migrationCandidates;
 
     void tick(Tick now);
     void updateLoads(Tick now);

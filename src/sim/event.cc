@@ -17,6 +17,13 @@ Event::~Event()
         queue->deschedule(*this);
 }
 
+void
+Event::setPriority(EventPriority prio_in)
+{
+    BL_ASSERT(queue == nullptr);
+    prio = prio_in;
+}
+
 CallbackEvent::CallbackEvent(std::function<void()> fn_in,
                              EventPriority prio_in, std::string label_in)
     : Event(prio_in), fn(std::move(fn_in)), label(std::move(label_in))

@@ -3,9 +3,11 @@
  * Discrete-event primitives.
  *
  * Events are intrusive: an Event object knows whether it is currently
- * scheduled and at what tick, so it can be rescheduled or descheduled
- * in O(log n).  Ordering is (when, priority, sequence) which makes
- * simulations fully deterministic even when many events share a tick.
+ * scheduled, at what tick, and at which slot of its queue's flat
+ * binary heap, so it can be rescheduled or descheduled in O(log n)
+ * without a search or a per-schedule allocation.  Ordering is
+ * (when, priority, sequence) which makes simulations fully
+ * deterministic even when many events share a tick.
  */
 
 #ifndef BIGLITTLE_SIM_EVENT_HH
@@ -128,10 +130,13 @@ class Event
     /** Same-tick ordering class. */
     EventPriority priority() const { return prio; }
 
+    /** Change the same-tick ordering class (only while idle). */
+    void setPriority(EventPriority prio_in);
+
     /**
      * Monotonic insertion number assigned by the queue at schedule
      * time; same-tick same-priority events fire in this order, which
-     * makes run order independent of heap/container internals.  Valid
+     * makes run order independent of the heap's layout.  Valid
      * while scheduled; exposed so traces and checkpoints can record
      * the exact total order.
      */
@@ -144,6 +149,7 @@ class Event
     Tick whenTick = 0;
     std::uint64_t sequence = 0;
     EventQueue *queue = nullptr;
+    std::size_t heapIndex = 0; ///< slot in the queue's heap
 };
 
 /**

@@ -1,9 +1,11 @@
 /**
  * @file
  * The event queue: a total order over pending events keyed by
- * (when, priority, sequence).  Supports schedule / reschedule /
- * deschedule, which the platform uses heavily (a task-completion
- * event moves whenever its core's frequency changes).
+ * (when, priority, sequence), kept as a flat binary min-heap of
+ * intrusive events (each Event records its heap slot).  Supports
+ * schedule / reschedule / deschedule in O(log n), which the platform
+ * uses heavily (a task-completion event moves whenever its core's
+ * frequency changes).
  */
 
 #ifndef BIGLITTLE_SIM_EVENTQ_HH
@@ -12,8 +14,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "base/random.hh"
 #include "base/types.hh"
@@ -90,10 +92,10 @@ class EventQueue
     void reschedule(Event &event, Tick when);
 
     /** True when no events are pending. */
-    bool empty() const { return queue.empty(); }
+    bool empty() const { return heap.empty(); }
 
     /** Number of pending events. */
-    std::size_t size() const { return queue.size(); }
+    std::size_t size() const { return heap.size(); }
 
     /** Tick of the next pending event (maxTick when empty). */
     Tick nextTick() const;
@@ -173,21 +175,19 @@ class EventQueue
     void serialize(Serializer &s) const;
 
   private:
-    struct Cmp
+    /** The firing order: (when, priority, sequence). */
+    static bool
+    before(const Event *a, const Event *b)
     {
-        bool
-        operator()(const Event *a, const Event *b) const
-        {
-            if (a->when() != b->when())
-                return a->when() < b->when();
-            if (a->priority() != b->priority())
-                return a->priority() < b->priority();
-            return a->sequence < b->sequence;
-        }
-    };
+        if (a->whenTick != b->whenTick)
+            return a->whenTick < b->whenTick;
+        if (a->prio != b->prio)
+            return a->prio < b->prio;
+        return a->sequence < b->sequence;
+    }
 
-    // ablint:allow(pointer-key): Cmp orders by stable fields
-    std::set<Event *, Cmp> queue;
+    /** Pending events as a binary min-heap under before(). */
+    std::vector<Event *> heap;
     Tick curTick = 0;
     std::uint64_t nextSequence = 0;
     std::uint64_t serviced = 0;
@@ -200,6 +200,25 @@ class EventQueue
     // ablint:allow(rng-stream): fixed tie-break stream, part of the event-order contract
     Rng tieRng{1};
     RaceDetector *race = nullptr;
+
+    /** Pending events sorted into firing order. */
+    std::vector<Event *> sortedPending() const;
+
+    /** Check that @p when is not in the past (panics otherwise). */
+    void checkNotPast(const Event &event, Tick when) const;
+
+    /** Move heap[i] toward the root until its parent fires first. */
+    void siftUp(std::size_t i);
+
+    /** Move heap[i] toward the leaves until it fires before both
+     *  children. */
+    void siftDown(std::size_t i);
+
+    /** Take heap[i] out of the heap, keeping the heap property. */
+    void removeAt(std::size_t i);
+
+    /** The member of the head's batch the active tie-break fires. */
+    Event *pickFromHeadBatch();
 };
 
 } // namespace biglittle

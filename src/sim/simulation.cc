@@ -108,17 +108,14 @@ Simulation::runFor(Tick delta)
 }
 
 void
-Simulation::noteRead(std::string_view component, std::string_view field)
+Simulation::noteAccess(std::string_view component, std::string_view field,
+                       bool write)
 {
-    if (RaceDetector *detector = queue.raceDetector())
-        detector->noteRead(component, field);
-}
-
-void
-Simulation::noteWrite(std::string_view component, std::string_view field)
-{
-    if (RaceDetector *detector = queue.raceDetector())
-        detector->noteWrite(component, field);
+    RaceDetector &detector = *queue.raceDetector();
+    if (write)
+        detector.noteWrite(component, field);
+    else
+        detector.noteRead(component, field);
 }
 
 } // namespace biglittle

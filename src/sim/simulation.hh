@@ -101,14 +101,24 @@ class Simulation
     /**
      * abrace access tracking (sim/abrace.hh).  Event handlers call
      * these to declare which state cell they touch; the calls are
-     * near-free no-ops unless a RaceDetector is attached to the
+     * an inline null check unless a RaceDetector is attached to the
      * event queue.  @p component is a stable instance name ("cpu0",
      * "big.domain"), @p field the logical member ("rq", "freq").
      */
-    void noteRead(std::string_view component, std::string_view field);
+    void
+    noteRead(std::string_view component, std::string_view field)
+    {
+        if (queue.raceDetector() != nullptr)
+            noteAccess(component, field, false);
+    }
 
     /** Declare a write of @p component's @p field.  @see noteRead */
-    void noteWrite(std::string_view component, std::string_view field);
+    void
+    noteWrite(std::string_view component, std::string_view field)
+    {
+        if (queue.raceDetector() != nullptr)
+            noteAccess(component, field, true);
+    }
 
     /** The attached race detector, nullptr when detection is off. */
     RaceDetector *race() const { return queue.raceDetector(); }
@@ -128,6 +138,10 @@ class Simulation
         std::function<void()> fn;
         std::string label;
     };
+
+    /** noteRead/noteWrite with a detector attached. */
+    void noteAccess(std::string_view component, std::string_view field,
+                    bool write);
 
     EventQueue queue;
     std::vector<std::unique_ptr<PeriodicTask>> periodics;

@@ -9,8 +9,11 @@
 namespace biglittle
 {
 
-Behavior::Behavior(Simulation &sim_in, Task &task_in, Rng rng_in)
-    : sim(sim_in), taskRef(task_in), rng(rng_in)
+Behavior::Behavior(Simulation &sim_in, Task &task_in, Rng rng_in,
+                   const char *wake_suffix)
+    : sim(sim_in), taskRef(task_in), rng(rng_in),
+      wake([this] { onWake(); }, EventPriority::workSubmit,
+           task_in.name() + wake_suffix)
 {
     taskRef.setClient(this);
 }
@@ -22,6 +25,13 @@ Behavior::~Behavior()
 }
 
 void
+Behavior::armWake(Tick when)
+{
+    BL_ASSERT(!wake.scheduled());
+    sim.eventQueue().reschedule(wake, when);
+}
+
+void
 Behavior::serializeState(Serializer &s) const
 {
     rng.serialize(s);
@@ -30,7 +40,8 @@ Behavior::serializeState(Serializer &s) const
 ContinuousBehavior::ContinuousBehavior(
     Simulation &sim_in, Task &task_in, Rng rng_in,
     double total_instructions, std::function<void(Tick)> on_complete)
-    : Behavior(sim_in, task_in, rng_in), budget(total_instructions),
+    : Behavior(sim_in, task_in, rng_in, ".wake"),
+      budget(total_instructions),
       onComplete(std::move(on_complete))
 {
     BL_ASSERT(budget > 0.0);
@@ -64,7 +75,7 @@ ContinuousBehavior::serializeState(Serializer &s) const
 PeriodicBehavior::PeriodicBehavior(Simulation &sim_in, Task &task_in,
                                    Rng rng_in, const PeriodicSpec &spec,
                                    FrameStats *stats_in)
-    : Behavior(sim_in, task_in, rng_in), periodicSpec(spec),
+    : Behavior(sim_in, task_in, rng_in, ".frame"), periodicSpec(spec),
       stats(stats_in)
 {
     BL_ASSERT(periodicSpec.period > 0);
@@ -78,8 +89,7 @@ PeriodicBehavior::start()
     if (nextRelease <= sim.now()) {
         submitFrame();
     } else {
-        sim.at(nextRelease, [this] { submitFrame(); },
-               workPrio, taskRef.name() + ".frame");
+        armWake(nextRelease);
     }
 }
 
@@ -91,9 +101,7 @@ PeriodicBehavior::submitFrame()
         const Tick phase = sim.now() % periodicSpec.pauseCycle;
         if (phase < periodicSpec.pauseLength) {
             // Scene pause: resume at the end of the pause window.
-            sim.at(sim.now() + (periodicSpec.pauseLength - phase),
-                   [this] { submitFrame(); }, workPrio,
-                   taskRef.name() + ".frame");
+            armWake(sim.now() + (periodicSpec.pauseLength - phase));
             return;
         }
     }
@@ -101,8 +109,7 @@ PeriodicBehavior::submitFrame()
     if (periodicSpec.activeProbability < 1.0 &&
         !rng.chance(periodicSpec.activeProbability)) {
         // Nothing dirty this period; wake again at the next vsync.
-        sim.at(nextRelease, [this] { submitFrame(); },
-               workPrio, taskRef.name() + ".frame");
+        armWake(nextRelease);
         return;
     }
     const double cost = rng.logNormal(periodicSpec.instPerPeriod,
@@ -122,8 +129,7 @@ PeriodicBehavior::onWorkDrained(Task &)
     if (nextRelease <= sim.now()) {
         submitFrame();
     } else {
-        sim.at(nextRelease, [this] { submitFrame(); },
-               workPrio, taskRef.name() + ".frame");
+        armWake(nextRelease);
     }
 }
 
@@ -138,7 +144,7 @@ PeriodicBehavior::serializeState(Serializer &s) const
 BurstBehavior::BurstBehavior(Simulation &sim_in, Task &task_in,
                              Rng rng_in, double chunk_instructions,
                              Tick chunk_gap)
-    : Behavior(sim_in, task_in, rng_in),
+    : Behavior(sim_in, task_in, rng_in, ".chunk"),
       chunkInstructions(chunk_instructions), chunkGap(chunk_gap)
 {
     BL_ASSERT(chunk_instructions >= 0.0);
@@ -182,9 +188,16 @@ void
 BurstBehavior::onWorkDrained(Task &)
 {
     if (backlog > 0.0) {
-        // Micro-stall, then the next chunk of the same burst.
-        sim.after(chunkGap, [this] { submitNextChunk(); }, workPrio,
-                  taskRef.name() + ".chunk");
+        // Micro-stall, then the next chunk of the same burst.  A
+        // burst injected while a chunk wake is pending (an input
+        // source firing mid-burst) drains on its own and lands here
+        // with that wake still queued; it gets a one-shot of its own.
+        if (wakePending()) {
+            sim.after(chunkGap, [this] { submitNextChunk(); },
+                      workPriority(), taskRef.name() + ".chunk");
+        } else {
+            armWake(sim.now() + chunkGap);
+        }
         return;
     }
     ++bursts;
@@ -204,7 +217,8 @@ DutyCycleBehavior::DutyCycleBehavior(Simulation &sim_in, Task &task_in,
                                      Rng rng_in,
                                      double target_utilization,
                                      double chunk_instructions)
-    : Behavior(sim_in, task_in, rng_in), target(target_utilization),
+    : Behavior(sim_in, task_in, rng_in, ".duty"),
+      target(target_utilization),
       chunk(chunk_instructions)
 {
     BL_ASSERT(target > 0.0 && target <= 1.0);
@@ -233,13 +247,15 @@ DutyCycleBehavior::onWorkDrained(Task &)
         taskRef.submitWork(chunk);
         return;
     }
-    sim.after(pause,
-              [this] {
-                  sim.noteWrite(taskRef.name(), "work");
-                  chunkStart = sim.now();
-                  taskRef.submitWork(chunk);
-              },
-              workPrio, taskRef.name() + ".duty");
+    armWake(sim.now() + pause);
+}
+
+void
+DutyCycleBehavior::onWake()
+{
+    sim.noteWrite(taskRef.name(), "work");
+    chunkStart = sim.now();
+    taskRef.submitWork(chunk);
 }
 
 void

@@ -36,7 +36,12 @@ class Serializer;
 class Behavior : public TaskClient
 {
   public:
-    Behavior(Simulation &sim, Task &task, Rng rng);
+    /**
+     * @param wake_suffix appended to the task name to label the
+     *        behavior's self-scheduled wake event (".frame", ...)
+     */
+    Behavior(Simulation &sim, Task &task, Rng rng,
+             const char *wake_suffix);
 
     ~Behavior() override;
 
@@ -65,17 +70,29 @@ class Behavior : public TaskClient
      * therefore settle in thread order, not schedule order
      * (docs/DETERMINISM.md).  Set before start().
      */
-    void setWorkPriority(EventPriority prio) { workPrio = prio; }
+    void setWorkPriority(EventPriority prio) { wake.setPriority(prio); }
 
     /** The slot assigned by setWorkPriority(). */
-    EventPriority workPriority() const { return workPrio; }
+    EventPriority workPriority() const { return wake.priority(); }
 
   protected:
     Simulation &sim;
     Task &taskRef;
     Rng rng;
-    // ablint:allow(serialize-coverage): construction-time event priority
-    EventPriority workPrio = EventPriority::workSubmit;
+
+    /** Arm the wake event at @p when; no wake may be pending. */
+    void armWake(Tick when);
+
+    /** True while the wake event is pending. */
+    bool wakePending() const { return wake.scheduled(); }
+
+  private:
+    /** What the wake event does (default: nothing). */
+    virtual void onWake() {}
+
+    /** The one self-scheduled wake, labelled and prioritized once. */
+    // ablint:allow(serialize-coverage): pending events are recreated by re-execution
+    CallbackEvent wake;
 };
 
 /** Executes an instruction budget back to back. */
@@ -159,6 +176,7 @@ class PeriodicBehavior : public Behavior
     std::uint64_t frames = 0;
 
     void submitFrame();
+    void onWake() override { submitFrame(); }
 };
 
 /** Runs externally injected bursts; reports each drain. */
@@ -200,6 +218,7 @@ class BurstBehavior : public Behavior
     std::uint64_t bursts = 0;
 
     void submitNextChunk();
+    void onWake() override { submitNextChunk(); }
 };
 
 /** Holds a target CPU utilization by adaptive pausing. */
@@ -224,6 +243,8 @@ class DutyCycleBehavior : public Behavior
     double target; // ablint:allow(serialize-coverage): construction-time config from the duty-cycle spec (covers chunk)
     double chunk;
     Tick chunkStart = 0;
+
+    void onWake() override;
 };
 
 } // namespace biglittle

@@ -15,7 +15,9 @@ WorkflowDriver::WorkflowDriver(Simulation &sim_in, BurstBehavior &ui_in,
                                std::function<void(Tick)> on_done)
     : sim(sim_in), ui(ui_in), workers(std::move(workers_in)),
       actions(std::move(actions_in)), rng(rng_in),
-      jitterSigma(jitter_sigma), onDone(std::move(on_done))
+      jitterSigma(jitter_sigma), onDone(std::move(on_done)),
+      thinkEvent([this] { issueNext(); }, EventPriority::workflowStep,
+                 "workflow.think")
 {
     BL_ASSERT(!actions.empty());
     for (const ActionSpec &a : actions) {
@@ -86,8 +88,8 @@ WorkflowDriver::threadDrained(Tick now)
     if (think == 0) {
         issueNext();
     } else {
-        sim.after(think, [this] { issueNext(); },
-                  EventPriority::workflowStep, "workflow.think");
+        BL_ASSERT(!thinkEvent.scheduled());
+        sim.eventQueue().reschedule(thinkEvent, sim.now() + think);
     }
 }
 

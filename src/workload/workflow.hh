@@ -93,6 +93,9 @@ class WorkflowDriver
     std::size_t completedActions = 0;
     std::uint32_t outstanding = 0;
     bool finished = false;
+    /** The think-time pause before the next action. */
+    // ablint:allow(serialize-coverage): pending events are recreated by re-execution
+    CallbackEvent thinkEvent;
 
     void issueNext();
     void threadDrained(Tick now);

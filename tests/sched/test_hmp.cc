@@ -8,6 +8,7 @@
 #include <set>
 
 #include "sched_fixture.hh"
+#include "sim/abrace.hh"
 
 using namespace biglittle;
 using namespace biglittle::test;
@@ -274,4 +275,42 @@ TEST_F(HmpTest, StopHaltsTicking)
     sched.stop();
     sim.runFor(msToTicks(50));
     EXPECT_EQ(sched.stats().ticks, ticks);
+}
+
+TEST_F(HmpTest, IdleTicksStillCountAndKeepTheEventStream)
+{
+    // No task ever runs: every tick takes the idle early return,
+    // which must still count the tick and leave the event stream
+    // (one hmp.tick per millisecond) exactly as a full tick does.
+    sim.runFor(msToTicks(100));
+    EXPECT_EQ(sched.stats().ticks, 100u);
+    EXPECT_EQ(sim.eventQueue().eventsServiced(), 100u);
+}
+
+TEST_F(HmpTest, IdleTickStillRecordsItsRunQueueWrites)
+{
+    // A schedTick-priority peer on the first tick reads what the
+    // tick writes; abrace must see the pair even though the idle
+    // tick returns before the load update.
+    RaceDetector race;
+    sim.eventQueue().setRaceDetector(&race);
+    CallbackEvent peer(
+        [&] {
+            sim.noteRead("sched", "rrCursor");
+            sim.noteRead(plat.core(0).name(), "rq");
+        },
+        EventPriority::schedTick, "peer");
+    sim.eventQueue().schedule(peer, msToTicks(1));
+    sim.runFor(msToTicks(1));
+    race.finish();
+    sim.eventQueue().setRaceDetector(nullptr);
+
+    std::set<std::string> cells;
+    for (const RaceDetector::Conflict &c : race.conflicts()) {
+        EXPECT_EQ(c.eventA, "hmp.tick");
+        EXPECT_EQ(c.eventB, "peer");
+        cells.insert(c.cell);
+    }
+    EXPECT_EQ(cells, (std::set<std::string>{
+                         "sched/rrCursor", plat.core(0).name() + "/rq"}));
 }

@@ -7,9 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "base/random.hh"
 #include "base/serialize.hh"
 #include "sim/eventq.hh"
 
@@ -558,4 +564,243 @@ TEST(EventQueue, ShuffleTieBreakIsSeedDeterministic)
     for (int i = 0; i < 16; ++i)
         want.push_back(i);
     EXPECT_EQ(sorted, want); // a permutation: nothing lost or duped
+}
+
+namespace
+{
+
+/** Event with a distinct name, so the serialize() digest sees it. */
+class NamedEvent : public Event
+{
+  public:
+    NamedEvent(std::vector<int> &log, int id, EventPriority prio)
+        : Event(prio), log(log), id(id)
+    {
+    }
+
+    void process() override { log.push_back(id); }
+    std::string name() const override { return "ev" + std::to_string(id); }
+
+  private:
+    std::vector<int> &log;
+    int id;
+};
+
+/**
+ * Reference model of the queue: the node-based std::set keyed by the
+ * (when, priority, sequence) comparator, with the batch pick done by
+ * walking the set in order.  The flat heap must match it exactly.
+ */
+class SetQueue
+{
+  public:
+    struct Key
+    {
+        Tick when;
+        std::int32_t prio;
+        std::uint64_t sequence;
+        int id;
+    };
+
+    SetQueue(TieBreak mode, std::uint64_t seed) : mode(mode)
+    {
+        rng.seed(seed);
+    }
+
+    std::uint64_t
+    schedule(int id, std::int32_t prio, Tick when)
+    {
+        const Key key{when, prio, nextSequence++, id};
+        pending.insert(key);
+        byId[id] = key;
+        return key.sequence;
+    }
+
+    void
+    deschedule(int id)
+    {
+        const std::size_t erased = pending.erase(byId.at(id));
+        ASSERT_EQ(erased, 1u);
+        byId.erase(id);
+    }
+
+    bool scheduled(int id) const { return byId.count(id) != 0; }
+
+    Key
+    serviceOne()
+    {
+        auto head = pending.begin();
+        if (mode != TieBreak::fifo) {
+            auto it = head;
+            auto last = head;
+            std::size_t n = 0;
+            while (it != pending.end() && it->when == head->when &&
+                   it->prio == head->prio) {
+                last = it;
+                ++it;
+                ++n;
+            }
+            if (n > 1) {
+                if (mode == TieBreak::lifo) {
+                    head = last;
+                } else {
+                    head = pending.begin();
+                    std::advance(head, rng.uniformInt(0, n - 1));
+                }
+            }
+        }
+        const Key key = *head;
+        pending.erase(head);
+        byId.erase(key.id);
+        curTick = key.when;
+        ++serviced;
+        return key;
+    }
+
+    void
+    serialize(Serializer &s) const
+    {
+        s.putU64(curTick);
+        s.putU64(nextSequence);
+        s.putU64(serviced);
+        s.putU64(pending.size());
+        Serializer digest;
+        for (const Key &k : pending) {
+            digest.putU64(k.when);
+            digest.putU64(static_cast<std::uint64_t>(k.prio));
+            digest.putU64(k.sequence);
+            digest.putU64(fnv1a64("ev" + std::to_string(k.id)));
+        }
+        s.putU64(digest.digest());
+    }
+
+    std::size_t size() const { return pending.size(); }
+
+  private:
+    struct Cmp
+    {
+        bool
+        operator()(const Key &a, const Key &b) const
+        {
+            return std::tie(a.when, a.prio, a.sequence) <
+                   std::tie(b.when, b.prio, b.sequence);
+        }
+    };
+
+    TieBreak mode;
+    Rng rng{1};
+    std::set<Key, Cmp> pending;
+    std::map<int, Key> byId;
+    Tick curTick = 0;
+    std::uint64_t nextSequence = 0;
+    std::uint64_t serviced = 0;
+};
+
+/**
+ * Seeded churn of schedule / deschedule / reschedule (including
+ * reschedule-to-now) and services over same-tick batches of several
+ * priorities, run against the heap queue and the reference set.
+ */
+void
+churnAgainstReference(TieBreak mode, std::uint64_t seed)
+{
+    constexpr int eventCount = 48;
+    const EventPriority prios[] = {
+        EventPriority::taskState, EventPriority::workSubmit,
+        EventPriority::schedTick, EventPriority::stats};
+
+    EventQueue q;
+    q.setTieBreak(mode, seed);
+    std::vector<ServicedEvent> seen;
+    q.setServiceHook(
+        [&](const ServicedEvent &ev) { seen.push_back(ev); });
+    SetQueue ref(mode, seed);
+
+    std::vector<int> log;
+    std::vector<std::unique_ptr<NamedEvent>> events;
+    for (int i = 0; i < eventCount; ++i) {
+        events.push_back(
+            std::make_unique<NamedEvent>(log, i, prios[i % 4]));
+    }
+    const auto prioOf = [&](int id) {
+        return static_cast<std::int32_t>(events[id]->priority());
+    };
+
+    Rng ops(seed * 7919 + 13);
+    std::size_t batchServices = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const int id = static_cast<int>(ops.uniformInt(0, eventCount - 1));
+        NamedEvent &ev = *events[id];
+        // Mostly near-future ticks, so batches stay large.
+        const Tick when = q.now() + ops.uniformInt(0, 3);
+        const std::uint64_t op = ops.uniformInt(0, 9);
+        if (op <= 2) {
+            if (!ev.scheduled()) {
+                q.schedule(ev, when);
+                ASSERT_EQ(ev.sequenceNumber(),
+                          ref.schedule(id, prioOf(id), when));
+            }
+        } else if (op == 3) {
+            if (ev.scheduled()) {
+                q.deschedule(ev);
+                ref.deschedule(id);
+            }
+        } else if (op <= 5) {
+            const Tick target = op == 4 ? q.now() : when;
+            q.reschedule(ev, target);
+            if (ref.scheduled(id))
+                ref.deschedule(id);
+            ASSERT_EQ(ev.sequenceNumber(),
+                      ref.schedule(id, prioOf(id), target));
+        } else if (!q.empty()) {
+            ASSERT_EQ(q.size(), ref.size());
+            const SetQueue::Key want = ref.serviceOne();
+            ASSERT_TRUE(q.serviceOne());
+            ASSERT_EQ(log.back(), want.id) << "step " << step;
+            ASSERT_EQ(seen.back().sequence, want.sequence);
+            ASSERT_EQ(seen.back().when, want.when);
+            ASSERT_EQ(seen.back().priority, want.prio);
+            batchServices += ref.size() > 0 && q.nextTick() == want.when;
+        }
+        ASSERT_EQ(q.size(), ref.size());
+        if (step % 97 == 0) {
+            Serializer got, expect;
+            q.serialize(got);
+            ref.serialize(expect);
+            ASSERT_EQ(got.bytes(), expect.bytes()) << "step " << step;
+        }
+    }
+    // The churn really exercised same-tick batches.
+    EXPECT_GT(batchServices, 1000u);
+    while (!q.empty()) {
+        const SetQueue::Key want = ref.serviceOne();
+        ASSERT_TRUE(q.serviceOne());
+        ASSERT_EQ(log.back(), want.id);
+        ASSERT_EQ(seen.back().sequence, want.sequence);
+    }
+    EXPECT_EQ(ref.size(), 0u);
+    Serializer got, expect;
+    q.serialize(got);
+    ref.serialize(expect);
+    EXPECT_EQ(got.bytes(), expect.bytes());
+    q.setServiceHook(nullptr);
+}
+
+} // namespace
+
+TEST(EventQueueHeap, MatchesReferenceSetUnderFifo)
+{
+    churnAgainstReference(TieBreak::fifo, 1);
+    churnAgainstReference(TieBreak::fifo, 2);
+}
+
+TEST(EventQueueHeap, MatchesReferenceSetUnderLifo)
+{
+    churnAgainstReference(TieBreak::lifo, 3);
+}
+
+TEST(EventQueueHeap, MatchesReferenceSetUnderShuffle)
+{
+    churnAgainstReference(TieBreak::shuffle, 4);
+    churnAgainstReference(TieBreak::shuffle, 5);
 }
