@@ -63,16 +63,25 @@ main(int argc, char **argv)
     PlatformParams large = real;
     large.clusters[0].l2 = large.clusters[1].l2; // little gets 2 MB
 
+    const PlatformParams *platforms[] = {&real, &small, &large};
+    const auto kernels = specSuite();
+    std::vector<double> speedups(kernels.size() * 3);
+    forEachCell(speedups.size(), [&](std::size_t cell) {
+        speedups[cell] =
+            isoFreqSpeedup(*platforms[cell % 3], kernels[cell / 3]);
+    });
+
     std::printf("%s\n",
                 (padRight("kernel", 14) + padLeft("asym L2", 10) +
                  padLeft("both 512K", 11) + padLeft("both 2MB", 10))
                     .c_str());
     std::puts("  (big@1.3GHz speedup over little@1.3GHz)");
 
-    for (const SpecKernel &kernel : specSuite()) {
-        const double asym = isoFreqSpeedup(real, kernel);
-        const double s512 = isoFreqSpeedup(small, kernel);
-        const double s2m = isoFreqSpeedup(large, kernel);
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+        const SpecKernel &kernel = kernels[k];
+        const double asym = speedups[k * 3];
+        const double s512 = speedups[k * 3 + 1];
+        const double s2m = speedups[k * 3 + 2];
         std::printf("%s%10.2f%11.2f%10.2f\n",
                     padRight(kernel.name, 14).c_str(), asym, s512,
                     s2m);

@@ -102,6 +102,14 @@ main(int argc, char **argv)
 
     const auto apps = allApps();
     const auto hmp = runApps(baselineConfig(), apps);
+    std::vector<MigrationResult> migration(apps.size());
+    forEachCell(apps.size(), [&](std::size_t i) {
+        migration[i] = runClusterMigration(apps[i]);
+    });
+    for (const AppSpec &app : apps) {
+        std::fprintf(stderr, "  [cluster-migration] running %s...\n",
+                     app.name.c_str());
+    }
 
     std::printf("%s\n",
                 (padRight("app", 20) + padLeft("HMP", 9) +
@@ -113,9 +121,7 @@ main(int argc, char **argv)
               "whole-cluster switching)");
 
     for (std::size_t i = 0; i < apps.size(); ++i) {
-        std::fprintf(stderr, "  [cluster-migration] running %s...\n",
-                     apps[i].name.c_str());
-        const MigrationResult migr = runClusterMigration(apps[i]);
+        const MigrationResult &migr = migration[i];
         const double perf_hmp = hmp[i].performanceValue();
         double loss;
         if (apps[i].metric == AppMetric::latency)

@@ -41,8 +41,9 @@ main(int argc, char **argv)
     flat_cfg.label = "flat";
 
     const auto apps = allApps();
-    const auto with_idle = runApps(idle_cfg, apps);
-    const auto flat = runApps(flat_cfg, apps);
+    const auto grid = runGrid({idle_cfg, flat_cfg}, apps);
+    const auto &with_idle = grid[0];
+    const auto &flat = grid[1];
 
     std::printf("%s\n",
                 (padRight("app", 20) + padLeft("cpuidle mW", 12) +

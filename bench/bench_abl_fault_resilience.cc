@@ -47,18 +47,22 @@ main(int argc, char **argv)
     const auto seed =
         static_cast<std::uint64_t>(args.getInt("seed"));
 
+    std::vector<ExperimentConfig> configs(rates.size());
+    for (std::size_t r = 0; r < rates.size(); ++r) {
+        configs[r].fault = scaledFaultParams(rates[r], seed);
+        configs[r].label = format("fault-x%g", rates[r]);
+    }
+    const auto grid = runGrid(configs, {fps_app, latency_app});
+
     std::printf("%s\n",
                 (padRight("fault rate", 12) + padLeft("avg fps", 10) +
                  padLeft("min fps", 10) + padLeft("latency", 11) +
                  padLeft("injected", 10) + padLeft("violations", 12))
                     .c_str());
-    for (const double rate : rates) {
-        ExperimentConfig cfg;
-        cfg.fault = scaledFaultParams(rate, seed);
-        cfg.label = format("fault-x%g", rate);
-
-        const AppRunResult fps = Experiment(cfg).runApp(fps_app);
-        const AppRunResult lat = Experiment(cfg).runApp(latency_app);
+    for (std::size_t r = 0; r < rates.size(); ++r) {
+        const double rate = rates[r];
+        const AppRunResult &fps = grid[r][0];
+        const AppRunResult &lat = grid[r][1];
         const std::uint64_t injected =
             fps.faults.totalInjected() + lat.faults.totalInjected();
         const std::uint64_t violations =

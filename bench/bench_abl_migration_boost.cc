@@ -40,8 +40,9 @@ main(int argc, char **argv)
     plain_cfg.label = "no-boost";
 
     const auto apps = latencyApps();
-    const auto with_boost = runApps(boost_cfg, apps);
-    const auto without = runApps(plain_cfg, apps);
+    const auto grid = runGrid({boost_cfg, plain_cfg}, apps);
+    const auto &with_boost = grid[0];
+    const auto &without = grid[1];
 
     std::printf("%s\n",
                 (padRight("app", 16) + padLeft("boost", 10) +

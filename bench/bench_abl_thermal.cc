@@ -76,8 +76,9 @@ main(int argc, char **argv)
         bbenchApp(), encoderApp(), virusScannerApp(),
         eternityWarrior2App(),
     };
-    const auto with_thermal = runApps(thermal_cfg, apps);
-    const auto unlimited = runApps(unlimited_cfg, apps);
+    const auto grid = runGrid({thermal_cfg, unlimited_cfg}, apps);
+    const auto &with_thermal = grid[0];
+    const auto &unlimited = grid[1];
 
     std::printf("%s\n",
                 (padRight("app", 20) + padLeft("perf therm", 12) +
@@ -105,8 +106,12 @@ main(int argc, char **argv)
     std::puts("\n(the Table II apps rarely sustain several big "
               "cores long enough to trip the throttle; a synthetic "
               "fully parallel big-cluster load shows the cap)");
-    const double hot = saturatedBigPowerMw(false);
-    const double cool = saturatedBigPowerMw(true);
+    double saturated[2]; // without, with the throttle
+    forEachCell(2, [&saturated](std::size_t i) {
+        saturated[i] = saturatedBigPowerMw(i == 1);
+    });
+    const double hot = saturated[0];
+    const double cool = saturated[1];
     std::printf("%s%12s%12s%11.0f%11.0f\n",
                 padRight("4x big hogs (10 s)", 20).c_str(), "-", "-",
                 cool, hot);

@@ -63,8 +63,9 @@ main(int argc, char **argv)
     tiny_cfg.label = "tiny-opp";
 
     const auto apps = allApps();
-    const auto base = runApps(base_cfg, apps);
-    const auto tiny = runApps(tiny_cfg, apps);
+    const auto grid = runGrid({base_cfg, tiny_cfg}, apps);
+    const auto &base = grid[0];
+    const auto &tiny = grid[1];
 
     std::printf("%s\n",
                 (padRight("app", 20) + padLeft("pwr base", 10) +

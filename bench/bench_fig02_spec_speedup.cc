@@ -34,23 +34,31 @@ main(int argc, char **argv)
                      "big_0.8GHz"});
     }
 
-    Experiment experiment;
+    // Per kernel: the little@1.3 reference, then the three big points.
+    const std::pair<CoreType, FreqKHz> runs[] = {
+        {CoreType::little, 1300000}, {CoreType::big, 1900000},
+        {CoreType::big, 1300000}, {CoreType::big, 800000}};
+    const auto kernels = specSuite();
+    std::vector<Tick> runtimes(kernels.size() * 4);
+    forEachCell(runtimes.size(), [&](std::size_t cell) {
+        const auto &[type, freq] = runs[cell % 4];
+        runtimes[cell] =
+            Experiment().runKernel(kernels[cell / 4], type, freq).runtime;
+    });
+
     std::printf("%s\n",
                 (padRight("kernel", 14) + padLeft("big@1.9", 10) +
                  padLeft("big@1.3", 10) + padLeft("big@0.8", 10))
                     .c_str());
     std::puts("  (speedup over little@1.3GHz; one core, fixed freq)");
 
-    const FreqKHz big_freqs[] = {1900000, 1300000, 800000};
-    for (const SpecKernel &kernel : specSuite()) {
-        const KernelRunResult base =
-            experiment.runKernel(kernel, CoreType::little, 1300000);
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+        const SpecKernel &kernel = kernels[k];
+        const Tick *runtime = &runtimes[k * 4];
         double speedups[3];
         for (int i = 0; i < 3; ++i) {
-            const KernelRunResult big = experiment.runKernel(
-                kernel, CoreType::big, big_freqs[i]);
-            speedups[i] = static_cast<double>(base.runtime) /
-                          static_cast<double>(big.runtime);
+            speedups[i] = static_cast<double>(runtime[0]) /
+                          static_cast<double>(runtime[i + 1]);
         }
         std::printf("%s%10.2f%10.2f%10.2f\n",
                     padRight(kernel.name, 14).c_str(), speedups[0],

@@ -34,7 +34,17 @@ main(int argc, char **argv)
                      "big_1.3GHz_mw", "big_1.9GHz_mw"});
     }
 
-    Experiment experiment;
+    const std::pair<CoreType, FreqKHz> runs[] = {
+        {CoreType::little, 1300000}, {CoreType::big, 800000},
+        {CoreType::big, 1300000}, {CoreType::big, 1900000}};
+    const auto kernels = specSuite();
+    std::vector<double> power(kernels.size() * 4);
+    forEachCell(power.size(), [&](std::size_t cell) {
+        const auto &[type, freq] = runs[cell % 4];
+        power[cell] =
+            Experiment().runKernel(kernels[cell / 4], type, freq).avgPowerMw;
+    });
+
     std::printf("%s\n", (padRight("kernel", 14) +
                          padLeft("little@1.3", 12) +
                          padLeft("big@0.8", 10) +
@@ -43,15 +53,12 @@ main(int argc, char **argv)
                             .c_str());
     std::puts("  (average whole-system power in mW)");
 
-    for (const SpecKernel &kernel : specSuite()) {
-        const double little = experiment
-            .runKernel(kernel, CoreType::little, 1300000).avgPowerMw;
-        const double big08 = experiment
-            .runKernel(kernel, CoreType::big, 800000).avgPowerMw;
-        const double big13 = experiment
-            .runKernel(kernel, CoreType::big, 1300000).avgPowerMw;
-        const double big19 = experiment
-            .runKernel(kernel, CoreType::big, 1900000).avgPowerMw;
+    for (std::size_t k = 0; k < kernels.size(); ++k) {
+        const SpecKernel &kernel = kernels[k];
+        const double little = power[k * 4];
+        const double big08 = power[k * 4 + 1];
+        const double big13 = power[k * 4 + 2];
+        const double big19 = power[k * 4 + 3];
         std::printf("%s%12.0f%10.0f%10.0f%10.0f\n",
                     padRight(kernel.name, 14).c_str(), little, big08,
                     big13, big19);

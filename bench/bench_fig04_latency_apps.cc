@@ -33,8 +33,9 @@ main(int argc, char **argv)
     }
 
     const auto apps = latencyApps();
-    const auto little = runApps(littleOnlyConfig(), apps);
-    const auto big = runApps(bigOnlyConfig(), apps);
+    const auto grid = runGrid({littleOnlyConfig(), bigOnlyConfig()}, apps);
+    const auto &little = grid[0];
+    const auto &big = grid[1];
 
     std::printf("%s\n",
                 (padRight("app", 16) + padLeft("lat little", 12) +

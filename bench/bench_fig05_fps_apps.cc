@@ -40,8 +40,9 @@ main(int argc, char **argv)
     ExperimentConfig big_cfg = bigOnlyConfig();
     applySnapshotOptions(args, little_cfg);
     applySnapshotOptions(args, big_cfg);
-    const auto little = runApps(little_cfg, apps);
-    const auto big = runApps(big_cfg, apps);
+    const auto grid = runGrid({little_cfg, big_cfg}, apps);
+    const auto &little = grid[0];
+    const auto &big = grid[1];
 
     std::printf("%s\n",
                 (padRight("app", 18) + padLeft("avg L", 8) +

@@ -23,10 +23,17 @@ namespace
 {
 
 void
-sweepCoreType(Experiment &experiment, CoreType type,
-              const std::vector<FreqKHz> &freqs, Tick duration,
-              CsvWriter *csv)
+sweepCoreType(CoreType type, const std::vector<FreqKHz> &freqs,
+              Tick duration, CsvWriter *csv)
 {
+    // Cell f * 10 + u / 10 - 1 holds freqs[f] at u % utilization.
+    std::vector<MicrobenchResult> cells(freqs.size() * 10);
+    forEachCell(cells.size(), [&](std::size_t cell) {
+        const int u = static_cast<int>(cell % 10 + 1) * 10;
+        cells[cell] = Experiment().runMicrobench(
+            type, freqs[cell / 10], u / 100.0, duration);
+    });
+
     std::printf("\n%s core (power in mW by utilization %%)\n",
                 coreTypeName(type));
     std::string header = padRight("freq", 10);
@@ -34,11 +41,11 @@ sweepCoreType(Experiment &experiment, CoreType type,
         header += padLeft(format("%d%%", u), 7);
     std::printf("%s\n", header.c_str());
 
-    for (const FreqKHz freq : freqs) {
+    for (std::size_t f = 0; f < freqs.size(); ++f) {
+        const FreqKHz freq = freqs[f];
         std::string line = padRight(freqToString(freq), 10);
         for (int u = 10; u <= 100; u += 10) {
-            const MicrobenchResult r = experiment.runMicrobench(
-                type, freq, u / 100.0, duration);
+            const MicrobenchResult &r = cells[f * 10 + u / 10 - 1];
             line += padLeft(format("%.0f", r.avgPowerMw), 7);
             if (csv) {
                 csv->beginRow();
@@ -73,12 +80,11 @@ main(int argc, char **argv)
 
     const Tick duration =
         msToTicks(static_cast<std::uint64_t>(args.getInt("duration-ms")));
-    Experiment experiment;
-    sweepCoreType(experiment, CoreType::little,
-                  {500000, 700000, 900000, 1100000, 1300000},
-                  duration, csv.get());
-    sweepCoreType(experiment, CoreType::big,
-                  {800000, 1100000, 1400000, 1700000, 1900000},
-                  duration, csv.get());
+    sweepCoreType(CoreType::little,
+                  {500000, 700000, 900000, 1100000, 1300000}, duration,
+                  csv.get());
+    sweepCoreType(CoreType::big,
+                  {800000, 1100000, 1400000, 1700000, 1900000}, duration,
+                  csv.get());
     return 0;
 }

@@ -35,13 +35,13 @@ main(int argc, char **argv)
     const auto configs = standardCoreConfigs();
     const auto apps = allApps();
 
-    std::vector<std::vector<AppRunResult>> by_config;
+    std::vector<ExperimentConfig> grid;
     for (const CoreConfig &cc : configs) {
-        ExperimentConfig cfg;
-        cfg.coreConfig = cc;
-        cfg.label = cc.label;
-        by_config.push_back(runApps(cfg, apps));
+        grid.emplace_back();
+        grid.back().coreConfig = cc;
+        grid.back().label = cc.label;
     }
+    const auto by_config = runGrid(grid, apps);
     const auto &baseline = by_config.back();
 
     std::string header = padRight("app", 18);

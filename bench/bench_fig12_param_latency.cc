@@ -33,7 +33,9 @@ main(int argc, char **argv)
     }
 
     const auto apps = latencyApps();
-    const auto baseline = runApps(baselineConfig(), apps);
+    const auto configs = sweepConfigs();
+    const auto grid = runGrid(configs, apps);
+    const auto &baseline = grid[0];
 
     std::printf("%s\n",
                 (padRight("config", 20) + padLeft("avg %", 9) +
@@ -41,8 +43,9 @@ main(int argc, char **argv)
                     .c_str());
     std::puts("  (latency increase vs baseline; positive = slower)");
 
-    for (const SweepPoint &point : parameterSweep()) {
-        const auto results = runApps(point.config, apps);
+    for (std::size_t c = 1; c < configs.size(); ++c) {
+        const std::string &label = configs[c].label;
+        const auto &results = grid[c];
         double sum = 0.0, mn = 1e9, mx = -1e9;
         for (std::size_t a = 0; a < apps.size(); ++a) {
             const double change = pctChange(
@@ -53,7 +56,7 @@ main(int argc, char **argv)
             mx = std::max(mx, change);
             if (csv) {
                 csv->beginRow();
-                csv->cell(point.label);
+                csv->cell(label);
                 csv->cell(apps[a].name);
                 csv->cell(static_cast<double>(results[a].latency) /
                           static_cast<double>(oneMs));
@@ -62,7 +65,7 @@ main(int argc, char **argv)
             }
         }
         std::printf("%s%9.2f%9.2f%9.2f\n",
-                    padRight(point.label, 20).c_str(),
+                    padRight(label, 20).c_str(),
                     sum / static_cast<double>(apps.size()), mn, mx);
     }
     return 0;

@@ -35,10 +35,13 @@ main(int argc, char **argv)
 
     RaceGate gate(args);
     const auto apps = fpsApps();
-    ExperimentConfig baseline_cfg = baselineConfig();
-    applyRaceOptions(args, baseline_cfg);
-    const auto baseline = runApps(baseline_cfg, apps);
-    gate.check(baseline_cfg, apps, baseline);
+    std::vector<ExperimentConfig> configs = sweepConfigs();
+    for (ExperimentConfig &cfg : configs)
+        applyRaceOptions(args, cfg);
+    const auto grid = runGrid(configs, apps);
+    for (std::size_t c = 0; c < configs.size(); ++c)
+        gate.check(configs[c], apps, grid[c]);
+    const auto &baseline = grid[0];
 
     std::printf("%s\n",
                 (padRight("config", 20) + padLeft("avg %", 9) +
@@ -46,11 +49,9 @@ main(int argc, char **argv)
                     .c_str());
     std::puts("  (average-FPS change vs baseline; negative = worse)");
 
-    for (const SweepPoint &point : parameterSweep()) {
-        ExperimentConfig sweep_cfg = point.config;
-        applyRaceOptions(args, sweep_cfg);
-        const auto results = runApps(sweep_cfg, apps);
-        gate.check(sweep_cfg, apps, results);
+    for (std::size_t c = 1; c < configs.size(); ++c) {
+        const std::string &label = configs[c].label;
+        const auto &results = grid[c];
         double sum = 0.0, mn = 1e9, mx = -1e9;
         for (std::size_t a = 0; a < apps.size(); ++a) {
             const double change =
@@ -60,7 +61,7 @@ main(int argc, char **argv)
             mx = std::max(mx, change);
             if (csv) {
                 csv->beginRow();
-                csv->cell(point.label);
+                csv->cell(label);
                 csv->cell(apps[a].name);
                 csv->cell(results[a].avgFps);
                 csv->cell(change);
@@ -68,7 +69,7 @@ main(int argc, char **argv)
             }
         }
         std::printf("%s%9.2f%9.2f%9.2f\n",
-                    padRight(point.label, 20).c_str(),
+                    padRight(label, 20).c_str(),
                     sum / static_cast<double>(apps.size()), mn, mx);
     }
     return gate.exitCode();

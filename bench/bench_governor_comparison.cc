@@ -40,6 +40,15 @@ main(int argc, char **argv)
         GovernorKind::schedutil, GovernorKind::powersave,
     };
     const auto apps = allApps();
+    std::vector<ExperimentConfig> configs;
+    for (const GovernorKind kind : kinds) {
+        configs.emplace_back();
+        configs.back().governor = kind;
+        configs.back().label = governorKindName(kind);
+    }
+    const auto grid = runGrid(configs, apps);
+    // kinds[0], the performance governor, is the reference.
+    const auto &reference = grid[0];
 
     std::printf("%s\n",
                 (padRight("governor", 14) +
@@ -50,14 +59,9 @@ main(int argc, char **argv)
     std::puts("  (averages across the 12-app suite; perf governor "
               "is the performance reference)");
 
-    std::vector<AppRunResult> reference;
-    for (const GovernorKind kind : kinds) {
-        ExperimentConfig cfg;
-        cfg.governor = kind;
-        cfg.label = governorKindName(kind);
-        const auto results = runApps(cfg, apps);
-        if (kind == GovernorKind::performance)
-            reference = results;
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+        const GovernorKind kind = kinds[k];
+        const auto &results = grid[k];
 
         double power_sum = 0.0;
         double lat_sum = 0.0;

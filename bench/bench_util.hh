@@ -3,17 +3,37 @@
  * Shared helpers for the figure/table regeneration benches: the
  * standard experimental conditions of the paper (4-big vs 4-little,
  * the Figs. 7/8 core combinations, the Section VI-C parameter sweep)
- * and small run-all helpers with progress output.
+ * and the cell pool that runs them.
+ *
+ * A bench declares its cells up front - a grid of configs x apps for
+ * runGrid(), or any n independent runs for forEachCell() - and
+ * renders its table from the results afterwards.  The pool runs the
+ * cells on at most poolWorkers() threads; each cell builds
+ * its own Experiment and writes only its own result slot, and each
+ * simulation stays single-threaded, so the tables are byte-identical
+ * to a one-at-a-time run (docs/DETERMINISM.md).  Progress lines,
+ * failure exits and checkpoint reports come afterwards, on the main
+ * thread, in declaration order.  Two cases stay sequential: a grid
+ * whose configs write checkpoints or resume from one (runGrid), and
+ * bench_abl_recovery, which times each supervised run and writes
+ * checkpoints.
  */
 
 #ifndef BIGLITTLE_BENCH_BENCH_UTIL_HH
 #define BIGLITTLE_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "base/argparse.hh"
@@ -67,22 +87,18 @@ bigOnlyConfig()
     return cfg;
 }
 
-/** One Section VI-C sweep point. */
-struct SweepPoint
+/**
+ * The Figs. 11-13 grid rows: the baseline first, then the 8
+ * governor/HMP configurations of the Section VI-C sweep.
+ */
+inline std::vector<ExperimentConfig>
+sweepConfigs()
 {
-    std::string label;
-    ExperimentConfig config;
-};
-
-/** The 8 governor/HMP configurations of Figs. 11-13 (no baseline). */
-inline std::vector<SweepPoint>
-parameterSweep()
-{
-    std::vector<SweepPoint> sweep;
+    std::vector<ExperimentConfig> sweep = {baselineConfig()};
     auto add = [&sweep](const std::string &label,
                         const ExperimentConfig &cfg) {
-        sweep.push_back({label, cfg});
-        sweep.back().config.label = label;
+        sweep.push_back(cfg);
+        sweep.back().label = label;
     };
 
     ExperimentConfig cfg;
@@ -170,11 +186,73 @@ applyRaceOptions(const ArgParser &args, ExperimentConfig &cfg)
 }
 
 /**
- * Per-bench --race-detect / --permute-ties verdict.  After each
- * runApps() batch, check() reports abrace conflicts and (under
- * --permute-ties) reruns every app with lifo and seeded-shuffle
- * tie-breaks, byte-comparing end-state digests against the fifo run.
- * exitCode() turns any failure into a nonzero bench exit.
+ * The pool's width: half the host's hardware threads, at least one.
+ * A pool as wide as the host gets only the share of it that other
+ * processes leave free, so a bench's wall time would follow their
+ * load.  A pool of half the width keeps its pace while half the
+ * CPUs are free, and still runs a sweep about twice as fast as one
+ * thread.
+ */
+inline std::size_t
+poolWorkers()
+{
+    return std::max<std::size_t>(std::thread::hardware_concurrency() / 2,
+                                 1);
+}
+
+/**
+ * Call @p fn(i) once for every cell index i in [0, n), on up to
+ * min(n, @p max_workers) threads - the caller's own included - that
+ * pull indices from one atomic counter.  @p fn must read only shared
+ * immutable state and write only what belongs to cell i.
+ * @p max_workers = 1 runs every cell inline, in index order.  The
+ * first exception a cell throws stops the handing out of cells and
+ * is rethrown here once every thread has joined.
+ */
+template <typename Fn>
+void
+forEachCell(std::size_t n, const Fn &fn,
+            std::size_t max_workers = poolWorkers())
+{
+    const std::size_t workers =
+        std::min(n, std::max<std::size_t>(max_workers, 1));
+    std::atomic<std::size_t> next{0};
+    std::mutex failure_mutex;
+    std::exception_ptr failure; // guarded by failure_mutex
+    const auto drain = [&] {
+        try {
+            for (std::size_t i = next++; i < n; i = next++)
+                fn(i);
+        } catch (...) {
+            next = n;
+            const std::lock_guard<std::mutex> lock(failure_mutex);
+            if (!failure)
+                failure = std::current_exception();
+        }
+    };
+    std::vector<std::thread> pool;
+    pool.reserve(workers > 0 ? workers - 1 : 0);
+    try {
+        for (std::size_t w = 1; w < workers; ++w)
+            pool.emplace_back(drain);
+    } catch (const std::system_error &) {
+        // No more threads to be had: the ones started, and this
+        // one, still drain every cell.
+    }
+    drain();
+    for (std::thread &t : pool)
+        t.join();
+    if (failure)
+        std::rethrow_exception(failure);
+}
+
+/**
+ * Per-bench --race-detect / --permute-ties verdict.  After
+ * runGrid(), check() each config's row: it reports abrace conflicts
+ * and (under --permute-ties) reruns every app with lifo and
+ * seeded-shuffle tie-breaks on the cell pool, byte-comparing
+ * end-state digests against the fifo run.  exitCode() turns any
+ * failure into a nonzero bench exit.
  */
 class RaceGate
 {
@@ -194,14 +272,22 @@ class RaceGate
         if (!detect)
             return;
         BL_ASSERT(apps.size() == results.size());
+        // Rerun 2i is app i under lifo, 2i + 1 under shuffle.
+        const TieBreak modes[] = {TieBreak::lifo, TieBreak::shuffle};
+        std::vector<AppRunResult> reruns(permute ? 2 * apps.size() : 0);
+        forEachCell(reruns.size(), [&](std::size_t cell) {
+            ExperimentConfig rerun_cfg = cfg;
+            rerun_cfg.race.tieBreak = modes[cell % 2];
+            reruns[cell] = Experiment(rerun_cfg).runApp(apps[cell / 2]);
+        });
         for (std::size_t i = 0; i < results.size(); ++i) {
             const AppRunResult &r = results[i];
             if (r.raceConflicts > 0) {
                 ++failures;
                 std::fprintf(stderr, "%s", r.raceReport.c_str());
             }
-            if (permute)
-                checkPermuted(cfg, apps[i], r);
+            for (std::size_t m = 0; permute && m < 2; ++m)
+                comparePermuted(r, reruns[2 * i + m], modes[m]);
         }
     }
 
@@ -209,30 +295,22 @@ class RaceGate
 
   private:
     void
-    checkPermuted(const ExperimentConfig &cfg, const AppSpec &app,
-                  const AppRunResult &fifo)
+    comparePermuted(const AppRunResult &fifo, const AppRunResult &rerun,
+                    TieBreak mode)
     {
-        for (const TieBreak mode :
-             {TieBreak::lifo, TieBreak::shuffle}) {
-            ExperimentConfig rerun_cfg = cfg;
-            rerun_cfg.race.tieBreak = mode;
-            Experiment experiment(rerun_cfg);
-            const AppRunResult rerun = experiment.runApp(app);
-            const Status st = compareStateDigests(fifo, rerun);
-            const char *name =
-                mode == TieBreak::lifo ? "lifo" : "shuffle";
-            if (!st.ok()) {
-                ++failures;
-                std::fprintf(stderr,
-                             "  [%s] %s: %s tie-break DIVERGED: %s\n",
-                             cfg.label.c_str(), app.name.c_str(),
-                             name, st.message().c_str());
-            } else {
-                std::fprintf(stderr,
-                             "  [%s] %s: %s tie-break digests match\n",
-                             cfg.label.c_str(), app.name.c_str(),
-                             name);
-            }
+        const Status st = compareStateDigests(fifo, rerun);
+        const char *name = mode == TieBreak::lifo ? "lifo" : "shuffle";
+        if (!st.ok()) {
+            ++failures;
+            std::fprintf(stderr,
+                         "  [%s] %s: %s tie-break DIVERGED: %s\n",
+                         fifo.configLabel.c_str(), fifo.app.c_str(),
+                         name, st.message().c_str());
+        } else {
+            std::fprintf(stderr,
+                         "  [%s] %s: %s tie-break digests match\n",
+                         fifo.configLabel.c_str(), fifo.app.c_str(),
+                         name);
         }
     }
 
@@ -298,17 +376,45 @@ reportCheckpointOverhead(const AppRunResult &r)
                  r.checkpoints.files.back().path.c_str());
 }
 
-/** Run @p apps under @p cfg, with progress lines on stderr. */
-inline std::vector<AppRunResult>
-runApps(const ExperimentConfig &cfg, const std::vector<AppSpec> &apps)
+/**
+ * Workers runGrid() uses for @p configs: one when any config writes
+ * checkpoints or resumes from one (each checkpoint's write time is a
+ * host-time measurement, and a resume replays one matching cell),
+ * otherwise poolWorkers().
+ */
+inline std::size_t
+gridWorkers(const std::vector<ExperimentConfig> &configs)
+{
+    for (const ExperimentConfig &cfg : configs) {
+        if (cfg.snapshot.checkpointEvery != 0 ||
+            !cfg.snapshot.resumePath.empty())
+            return 1;
+    }
+    return poolWorkers();
+}
+
+/**
+ * Run every (config, app) cell of @p configs x @p apps on
+ * gridWorkers(configs) workers and return results[c][a].  Then, on
+ * the calling thread and in declaration order, print each cell's
+ * progress line, exit if it failed, and report its checkpoint
+ * overhead.
+ */
+inline std::vector<std::vector<AppRunResult>>
+runGrid(const std::vector<ExperimentConfig> &configs,
+        const std::vector<AppSpec> &apps)
 {
     // A checkpoint belongs to exactly one (app, config) run; on a
     // multi-app bench, resume only the run it matches instead of
-    // dying on the identity check of the first unrelated app.
-    std::optional<Checkpoint> resume;
-    if (!cfg.snapshot.resumePath.empty()) {
-        Result<Checkpoint> loaded =
-            loadCheckpointWithFallback(cfg.snapshot.resumePath);
+    // dying on the identity check of the first unrelated app.  Each
+    // named checkpoint is loaded once per grid.
+    std::map<std::string, std::optional<Checkpoint>> resumes;
+    for (const ExperimentConfig &cfg : configs) {
+        const std::string &path = cfg.snapshot.resumePath;
+        if (path.empty() || resumes.count(path) != 0)
+            continue;
+        Result<Checkpoint> loaded = loadCheckpointWithFallback(path);
+        std::optional<Checkpoint> &resume = resumes[path];
         if (!loaded.ok()) {
             warn("--resume: %s; running every app from scratch",
                  loaded.status().message().c_str());
@@ -317,21 +423,41 @@ runApps(const ExperimentConfig &cfg, const std::vector<AppSpec> &apps)
         }
     }
 
-    std::vector<AppRunResult> results;
-    for (const AppSpec &app : apps) {
-        ExperimentConfig run_cfg = cfg;
-        if (!resume || resume->app != app.name ||
-            resume->label != cfg.label) {
-            run_cfg.snapshot.resumePath.clear();
+    std::vector<std::vector<AppRunResult>> results(
+        configs.size(), std::vector<AppRunResult>(apps.size()));
+    forEachCell(
+        configs.size() * apps.size(),
+        [&](std::size_t cell) {
+            const std::size_t c = cell / apps.size();
+            const std::size_t a = cell % apps.size();
+            ExperimentConfig run_cfg = configs[c];
+            if (!run_cfg.snapshot.resumePath.empty()) {
+                const std::optional<Checkpoint> &resume =
+                    resumes.at(run_cfg.snapshot.resumePath);
+                if (!resume || resume->app != apps[a].name ||
+                    resume->label != run_cfg.label)
+                    run_cfg.snapshot.resumePath.clear();
+            }
+            results[c][a] = Experiment(run_cfg).runApp(apps[a]);
+        },
+        gridWorkers(configs));
+
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        for (std::size_t a = 0; a < apps.size(); ++a) {
+            std::fprintf(stderr, "  [%s] running %s...\n",
+                         configs[c].label.c_str(), apps[a].name.c_str());
+            exitIfRunFailed(results[c][a]);
+            reportCheckpointOverhead(results[c][a]);
         }
-        std::fprintf(stderr, "  [%s] running %s...\n",
-                     cfg.label.c_str(), app.name.c_str());
-        Experiment experiment(run_cfg);
-        results.push_back(experiment.runApp(app));
-        exitIfRunFailed(results.back());
-        reportCheckpointOverhead(results.back());
     }
     return results;
+}
+
+/** Run @p apps under @p cfg: one row of runGrid(). */
+inline std::vector<AppRunResult>
+runApps(const ExperimentConfig &cfg, const std::vector<AppSpec> &apps)
+{
+    return runGrid({cfg}, apps)[0];
 }
 
 /** Percentage change of @p now vs @p base (positive = increase). */

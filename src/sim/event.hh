@@ -118,8 +118,16 @@ class Event
      */
     virtual void orphaned() {}
 
-    /** Diagnostic name used in trace output. */
-    virtual std::string name() const { return "event"; }
+    /**
+     * Diagnostic name used in trace output: a label stored when the
+     * event is built, returned without a copy.
+     */
+    virtual const std::string &
+    name() const
+    {
+        static const std::string unnamed = "event";
+        return unnamed;
+    }
 
     /** True while the event sits in a queue. */
     bool scheduled() const { return queue != nullptr; }
@@ -164,7 +172,7 @@ class CallbackEvent : public Event
                   std::string label = "callback");
 
     void process() override;
-    std::string name() const override { return label; }
+    const std::string &name() const override { return label; }
 
   private:
     std::function<void()> fn;

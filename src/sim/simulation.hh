@@ -47,7 +47,7 @@ class PeriodicTask : public Event
     Tick period() const { return periodTicks; }
 
     void process() override;
-    std::string name() const override { return label; }
+    const std::string &name() const override { return label; }
 
   private:
     EventQueue &eq;
@@ -132,7 +132,7 @@ class Simulation
                 std::string label);
         void process() override;
         void orphaned() override { delete this; }
-        std::string name() const override { return label; }
+        const std::string &name() const override { return label; }
 
       private:
         std::function<void()> fn;

@@ -165,7 +165,10 @@ BurstBehavior::injectBurst(double instructions)
         return;
     }
     backlog += instructions;
-    submitNextChunk();
+    // Mid-burst, during a micro-stall: the pending chunk wake
+    // continues the burst, now with the larger backlog.
+    if (!wakePending())
+        submitNextChunk();
 }
 
 void
@@ -188,16 +191,8 @@ void
 BurstBehavior::onWorkDrained(Task &)
 {
     if (backlog > 0.0) {
-        // Micro-stall, then the next chunk of the same burst.  A
-        // burst injected while a chunk wake is pending (an input
-        // source firing mid-burst) drains on its own and lands here
-        // with that wake still queued; it gets a one-shot of its own.
-        if (wakePending()) {
-            sim.after(chunkGap, [this] { submitNextChunk(); },
-                      workPriority(), taskRef.name() + ".chunk");
-        } else {
-            armWake(sim.now() + chunkGap);
-        }
+        // Micro-stall, then the next chunk of the same burst.
+        armWake(sim.now() + chunkGap);
         return;
     }
     ++bursts;

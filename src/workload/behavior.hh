@@ -72,9 +72,6 @@ class Behavior : public TaskClient
      */
     void setWorkPriority(EventPriority prio) { wake.setPriority(prio); }
 
-    /** The slot assigned by setWorkPriority(). */
-    EventPriority workPriority() const { return wake.priority(); }
-
   protected:
     Simulation &sim;
     Task &taskRef;

@@ -574,16 +574,17 @@ class NamedEvent : public Event
 {
   public:
     NamedEvent(std::vector<int> &log, int id, EventPriority prio)
-        : Event(prio), log(log), id(id)
+        : Event(prio), log(log), id(id), label("ev" + std::to_string(id))
     {
     }
 
     void process() override { log.push_back(id); }
-    std::string name() const override { return "ev" + std::to_string(id); }
+    const std::string &name() const override { return label; }
 
   private:
     std::vector<int> &log;
     int id;
+    std::string label;
 };
 
 /**

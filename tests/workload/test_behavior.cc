@@ -161,6 +161,25 @@ TEST_F(BehaviorTest, BurstBehaviorRunsInjectedWork)
     EXPECT_GT(last_drain, msToTicks(60));
 }
 
+TEST_F(BehaviorTest, BurstInjectedDuringChunkGapJoinsTheBacklog)
+{
+    Task &t = sched.createTask("t", pureCompute(), CoreId{0});
+    const double chunk = littleRate() * 1e-4; // 0.1 ms of work
+    BurstBehavior b(sim, t, Rng(9), chunk, msToTicks(2));
+    int drains = 0;
+    b.setDrainListener([&](BurstBehavior &, Tick) { ++drains; });
+    b.start();
+    b.injectBurst(3 * chunk);
+    sim.runFor(msToTicks(1)); // first chunk done, its gap wake pending
+    b.injectBurst(chunk);
+    sim.runFor(msToTicks(19));
+    // The pending wake carries the whole burst: one drain, all four
+    // chunks retired, and no second wake left to fire on no backlog.
+    EXPECT_EQ(drains, 1);
+    EXPECT_EQ(b.burstsDone(), 1u);
+    EXPECT_NEAR(t.instructionsRetired(), 4 * chunk, 1.0);
+}
+
 TEST_F(BehaviorTest, DutyCycleHoldsTargetUtilization)
 {
     for (const double target : {0.25, 0.5, 0.9}) {
